@@ -144,15 +144,16 @@ func Run(cfg Config, n int, job func(worker, index int)) {
 		progressMu sync.Mutex
 		done       int
 	)
+	// Progress runs under the lock, so calls are serialized and each sees
+	// the next done value.
 	finished := func() {
 		if cfg.Progress == nil {
 			return
 		}
 		progressMu.Lock()
+		defer progressMu.Unlock()
 		done++
-		d := done
-		progressMu.Unlock()
-		cfg.Progress(d, n)
+		cfg.Progress(done, n)
 	}
 
 	cfg.Profile.begin(workers)
@@ -262,8 +263,8 @@ func TTYProgress(w io.Writer, label string) func(done, total int) {
 // — worker occupancy from Profile.StatusLine, prefill-cache hit rates — so
 // a long campaign shows what the fleet is doing, not just how far it is.
 // The line is padded so a shrinking status never leaves stale characters.
-// The callback serializes itself: Run invokes Progress from every worker
-// goroutine concurrently.
+// Run serializes its Progress calls; the callback also serializes itself,
+// so one reporter can be shared between concurrent Runs.
 func TTYProgressStatus(w io.Writer, label string, status func() string) func(done, total int) {
 	var mu sync.Mutex
 	width := 0

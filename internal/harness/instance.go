@@ -40,17 +40,28 @@ type fillImage struct {
 // FillCache shares prefill snapshots between pooled instances: the first
 // point of a fill-key pays the O(Size) insert replay and captures the
 // image; every later point restores it with a copy. Safe for concurrent
-// use by fleet workers.
+// use by fleet workers: when several workers want a key nobody has filled
+// yet, the first claims it and fills while the others wait for its image,
+// so each key is cold-filled (and counted as a miss) exactly once.
 type FillCache struct {
-	mu    sync.RWMutex
-	snaps map[fillKey]*fillImage
+	mu    sync.Mutex
+	snaps map[fillKey]*fillEntry
 	hits  atomic.Uint64
 	miss  atomic.Uint64
 }
 
+// fillEntry is one fill-key's slot. Its claimant fills the key, sets img
+// and closes ready; other workers wait on ready and restore img. img stays
+// nil when the claimant's fill panicked, and the key is then free to claim
+// again.
+type fillEntry struct {
+	ready chan struct{}
+	img   *fillImage
+}
+
 // NewFillCache returns an empty prefill-snapshot cache.
 func NewFillCache() *FillCache {
-	return &FillCache{snaps: make(map[fillKey]*fillImage)}
+	return &FillCache{snaps: make(map[fillKey]*fillEntry)}
 }
 
 // Stats reports how many prefetches were served from a snapshot (hits) vs
@@ -59,23 +70,29 @@ func (fc *FillCache) Stats() (hits, misses uint64) {
 	return fc.hits.Load(), fc.miss.Load()
 }
 
-// lookup returns the snapshot for key, or nil.
-func (fc *FillCache) lookup(key fillKey) *fillImage {
-	fc.mu.RLock()
-	snap := fc.snaps[key]
-	fc.mu.RUnlock()
-	return snap
+// claim returns key's entry and whether the caller created it, which makes
+// the caller the key's filler.
+func (fc *FillCache) claim(key fillKey) (*fillEntry, bool) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	if e, ok := fc.snaps[key]; ok {
+		return e, false
+	}
+	e := &fillEntry{ready: make(chan struct{})}
+	fc.snaps[key] = e
+	return e, true
 }
 
-// publish stores a freshly captured snapshot. Two workers racing on the
-// same key capture identical images (the fill is deterministic), so the
-// first simply wins.
-func (fc *FillCache) publish(key fillKey, snap *fillImage) {
-	fc.mu.Lock()
-	if _, ok := fc.snaps[key]; !ok {
-		fc.snaps[key] = snap
+// settle publishes the filler's image and releases the waiters. A nil img
+// (the fill panicked) also frees the key for the next claimant.
+func (fc *FillCache) settle(key fillKey, e *fillEntry, img *fillImage) {
+	if img == nil {
+		fc.mu.Lock()
+		delete(fc.snaps, key)
+		fc.mu.Unlock()
 	}
-	fc.mu.Unlock()
+	e.img = img
+	close(e.ready)
 }
 
 // Instance is a poolable simulator: one sim.Machine plus one htm.Memory,
@@ -126,29 +143,51 @@ func buildStructure(hm *htm.Memory, cfg DSConfig) dataStructure {
 }
 
 // prefill brings the structure to its steady-state Size: from a snapshot
-// copy when the FillCache already holds this fill-key, otherwise by the
-// cold §4 methodology — random keys from a domain of size 2*Size until
-// Size elements are held — capturing the image for the next point.
+// copy when the FillCache holds this fill-key or another worker is filling
+// it, otherwise by the cold §4 methodology (coldFill), capturing the image
+// for the next point.
 func (in *Instance) prefill(cfg DSConfig, ds dataStructure, domain uint64) {
+	if in.fills == nil {
+		coldFill(in.hm, cfg, ds, domain)
+		return
+	}
 	key := fillKey{cfg.Structure, cfg.Threads, cfg.Size, cfg.Seed}
-	if in.fills != nil {
-		if snap := in.fills.lookup(key); snap != nil {
-			in.hm.Store().Restore(snap.words, snap.brk)
+	for {
+		e, filler := in.fills.claim(key)
+		if filler {
+			in.fillClaimed(key, e, cfg, ds, domain)
+			return
+		}
+		<-e.ready
+		if e.img != nil {
+			in.hm.Store().Restore(e.img.words, e.img.brk)
 			in.fills.hits.Add(1)
 			return
 		}
+		// The filler panicked and freed the key: claim it again.
 	}
-	raw := htm.Raw{M: in.hm}
+}
+
+// fillClaimed cold-fills a key this instance claimed and publishes the
+// image, releasing the key's waiters even when the fill panics.
+func (in *Instance) fillClaimed(key fillKey, e *fillEntry, cfg DSConfig, ds dataStructure, domain uint64) {
+	var img *fillImage
+	defer func() { in.fills.settle(key, e, img) }()
+	coldFill(in.hm, cfg, ds, domain)
+	words, brk := in.hm.Store().Snapshot()
+	img = &fillImage{words: words, brk: brk}
+	in.fills.miss.Add(1)
+}
+
+// coldFill inserts random keys from a domain of size 2*Size until the
+// structure holds Size elements.
+func coldFill(hm *htm.Memory, cfg DSConfig, ds dataStructure, domain uint64) {
+	raw := htm.Raw{M: hm}
 	rng := rand.New(rand.NewSource(int64(cfg.Seed) + 1))
 	for n := 0; n < cfg.Size; {
 		if ds.Insert(raw, rng.Int63n(int64(domain)), 1) {
 			n++
 		}
-	}
-	if in.fills != nil {
-		words, brk := in.hm.Store().Snapshot()
-		in.fills.publish(key, &fillImage{words: words, brk: brk})
-		in.fills.miss.Add(1)
 	}
 }
 
@@ -210,17 +249,25 @@ func (in *Instance) RunObserved(cfg DSConfig, col *obs.Collector, tr *trace.Trac
 	}
 	for i := 0; i < cfg.Threads; i++ {
 		m.Go(func(p *sim.Proc) {
+			// The proc's accessor and op bodies are built once per run, not
+			// per critical section: the bodies read the current key from
+			// the loop, and every scheme hands a body this proc's Ctx.
+			var key int64
+			acc := htm.Accessor(htm.Ctx{P: p, M: hm})
+			insert := func(htm.Ctx) { ds.Insert(acc, key, 1) }
+			del := func(htm.Ctx) { ds.Delete(acc, key) }
+			lookup := func(htm.Ctx) { ds.Lookup(acc, key) }
 			for p.Clock() < cfg.BudgetCycles {
 				r := p.RandN(100)
-				key := int64(p.RandN(domain))
+				key = int64(p.RandN(domain))
 				var o core.Outcome
 				switch {
 				case int(r) < cfg.Mix.InsertPct:
-					o = s.Critical(p, func(c htm.Ctx) { ds.Insert(c, key, 1) })
+					o = s.Critical(p, insert)
 				case int(r) < cfg.Mix.InsertPct+cfg.Mix.DeletePct:
-					o = s.Critical(p, func(c htm.Ctx) { ds.Delete(c, key) })
+					o = s.Critical(p, del)
 				default:
-					o = s.Critical(p, func(c htm.Ctx) { ds.Lookup(c, key) })
+					o = s.Critical(p, lookup)
 				}
 				stats.Add(o)
 				if cfg.SlotCycles > 0 {

@@ -1,8 +1,13 @@
 package harness
 
 import (
+	"math"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
+
+	"elision/internal/htm"
 )
 
 // instanceTestConfigs returns three benchmark points spanning both
@@ -80,6 +85,78 @@ func TestFillCacheSharedAcrossSchemes(t *testing.T) {
 	}
 }
 
+// TestFillCacheFillsEachKeyOnce: workers that want the same fill key at
+// the same time share one cold fill — the first claims it, the rest wait
+// for its image — so misses equal the number of distinct keys.
+func TestFillCacheFillsEachKeyOnce(t *testing.T) {
+	a, b, _ := instanceTestConfigs()
+	fills := NewFillCache()
+	cfgs := []DSConfig{a, b, a, b, a, b, a, b}
+	got := make([]Result, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = NewInstance(fills).Run(cfg)
+		}()
+	}
+	wg.Wait()
+	if hits, misses := fills.Stats(); misses != 2 || hits != uint64(len(cfgs)-2) {
+		t.Fatalf("prefill stats = %d hits / %d misses, want %d/2", hits, misses, len(cfgs)-2)
+	}
+	for i := 2; i < len(cfgs); i++ {
+		if !reflect.DeepEqual(got[i], got[i%2]) {
+			t.Fatalf("run %d diverges from run %d of the same point", i, i%2)
+		}
+	}
+}
+
+// panickyFill is a structure whose first insert blocks until released and
+// then panics: a cold fill that fails while holding its key's claim.
+type panickyFill struct{ entered, release chan struct{} }
+
+func (f panickyFill) Insert(htm.Accessor, int64, int64) bool {
+	close(f.entered)
+	<-f.release
+	panic("fill failed")
+}
+func (panickyFill) Delete(htm.Accessor, int64) bool          { return false }
+func (panickyFill) Lookup(htm.Accessor, int64) (int64, bool) { return 0, false }
+
+// TestFillCachePanickedFillReleasesWaiters: a fill that panics must free
+// its key and release the workers waiting for it; one of them then fills
+// the key itself.
+func TestFillCachePanickedFillReleasesWaiters(t *testing.T) {
+	cfg, _, _ := instanceTestConfigs()
+	fills := NewFillCache()
+	f := panickyFill{make(chan struct{}), make(chan struct{})}
+	failed := make(chan any)
+	go func() {
+		defer func() { failed <- recover() }()
+		(&Instance{fills: fills}).prefill(cfg, f, uint64(2*cfg.Size))
+	}()
+	<-f.entered // the failing fill holds the key's claim
+	got := make(chan Result)
+	go func() { got <- NewInstance(fills).Run(cfg) }()
+	time.Sleep(10 * time.Millisecond) // let the second run start waiting
+	close(f.release)
+	if r := <-failed; r != "fill failed" {
+		t.Fatalf("failing fill recovered %v, want its panic", r)
+	}
+	select {
+	case res := <-got:
+		if want := RunDataStructure(cfg); !reflect.DeepEqual(res, want) {
+			t.Fatalf("run after a failed fill diverges from a fresh run")
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("a panicked fill stranded the run waiting for its key")
+	}
+	if hits, misses := fills.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("prefill stats = %d hits / %d misses, want 0/1", hits, misses)
+	}
+}
+
 // TestRunnerDeterministicAcrossWorkerCounts: the same grid must produce
 // identical results at -j 1 and -j 8 — the fleet's byte-determinism
 // contract at the Runner level.
@@ -121,5 +198,41 @@ func TestFigureDigestWorkerInvariance(t *testing.T) {
 	d8 := digestTables(Figure9(wide, sc))
 	if d1 != d8 {
 		t.Fatalf("figure9 digest differs by worker count: -j1 %s, -j8 %s", d1, d8)
+	}
+}
+
+// TestInstanceRunAllocsIndependentOfBudget: once a pooled instance is warm,
+// a run allocates the same at budget B and at 2B — its per-run setup and
+// nothing per critical section. One point commits speculatively (opt-slr
+// over MCS on an 8K-key tree); the other is contended, with aborts, lock
+// fallbacks and parked waiters (hle over MCS on a 64-key tree).
+func TestInstanceRunAllocsIndependentOfBudget(t *testing.T) {
+	spec := DSConfig{
+		Structure: StructTree, Threads: 8, Size: 8192, Mix: MixModerate,
+		Scheme: SchemeOptSLR, Lock: LockMCS,
+		BudgetCycles: 100_000, Seed: 42, Quantum: 128,
+	}
+	contended := spec
+	contended.Size, contended.Mix, contended.Scheme = 64, MixExtensive, SchemeHLE
+	for _, cfg := range []DSConfig{spec, contended} {
+		in := NewInstance(NewFillCache())
+		long := cfg
+		long.BudgetCycles *= 2
+		in.Run(long) // warm-up: cold fill, pooled memory and Tx state
+		// The runtime itself allocates now and then (a GC cycle may start
+		// workers), which only ever adds: take the least of three samples.
+		var ops [2]uint64
+		allocs := func(i int, c DSConfig) float64 {
+			least := math.Inf(1)
+			for k := 0; k < 3; k++ {
+				least = min(least, testing.AllocsPerRun(5, func() { ops[i] = in.Run(c).Stats.Ops }))
+			}
+			return least
+		}
+		short, twice := allocs(0, cfg), allocs(1, long)
+		if short != twice {
+			t.Errorf("%s/%s size %d: %v allocs per run at budget %d (%d ops), %v at %d (%d ops); want equal",
+				cfg.Scheme, cfg.Lock, cfg.Size, short, cfg.BudgetCycles, ops[0], twice, long.BudgetCycles, ops[1])
+		}
 	}
 }

@@ -195,9 +195,9 @@ func (r *Runner) RunAllRollup(cfgs []DSConfig, ru *rollup.Campaign) []Result {
 // Metrics records the runner's own pooling efficiency into reg under the
 // harness_* namespace: prefill snapshot hits and misses, instance machine
 // builds vs resets, and the pool size. Call after the campaign's fan-outs
-// complete. Note the prefill hit/miss split is racy at -j > 1 (two workers
-// cold-filling the same key both count a miss), so these metrics are
-// excluded from byte-identity gates; gate them with tolerances instead.
+// complete. Each fill key is cold-filled once whatever the worker count, so
+// misses equal the number of distinct fill keys and hits the remaining
+// points.
 func (r *Runner) Metrics(reg *obs.Registry) {
 	if reg == nil {
 		return

@@ -33,7 +33,7 @@ func (m *Memory) Atomic(p *sim.Proc, body func(tx *Tx)) Status {
 			if r == nil {
 				return
 			}
-			ab, ok := r.(txAbortPanic)
+			ab, ok := r.(*txAbortPanic)
 			if !ok {
 				// A genuine bug in the body: clean up and re-raise.
 				tx.cleanup()
@@ -44,7 +44,7 @@ func (m *Memory) Atomic(p *sim.Proc, body func(tx *Tx)) Status {
 			tx.cleanup()
 			p.Advance(m.cost.TxAbort)
 			m.tracer.Emit(p.Clock(), p.ID(), trace.TxAbort, int64(st.Cause))
-			// cleanup leaves the dense sets' member lists intact, so the
+			// cleanup leaves the member lists intact, so the
 			// collector sees the sizes reached before the abort — and, for
 			// conflicts, the full causality payload: the line, the aborter,
 			// whether it was a fallback-path (non-transactional) access, and
@@ -53,8 +53,8 @@ func (m *Memory) Atomic(p *sim.Proc, body func(tx *Tx)) Status {
 				When:         p.Clock(),
 				Tid:          p.ID(),
 				Cause:        st.Cause.String(),
-				ReadLines:    tx.readSet.size(),
-				WriteLines:   tx.writeSet.size(),
+				ReadLines:    len(tx.readLines),
+				WriteLines:   len(tx.writeLines),
 				ConflictLine: st.ConflictLine,
 				ConflictTid:  st.ConflictTid,
 				ConflictNT:   st.ConflictNT,
@@ -65,7 +65,7 @@ func (m *Memory) Atomic(p *sim.Proc, body func(tx *Tx)) Status {
 		body(tx)
 		st = tx.commit()
 		m.tracer.Emit(p.Clock(), p.ID(), trace.TxCommit, 0)
-		m.col.TxCommit(p.Clock(), p.ID(), tx.readSet.size(), tx.writeSet.size())
+		m.col.TxCommit(p.Clock(), p.ID(), len(tx.readLines), len(tx.writeLines))
 	}()
 	m.cur[p.ID()] = nil
 	return st

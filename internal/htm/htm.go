@@ -178,7 +178,7 @@ type Memory struct {
 	meta  []lineMeta
 	cur   []*Tx // current transaction per proc id, nil when not in one
 	// txs is the per-proc transaction pool: flat nesting means a proc runs
-	// at most one transaction at a time, so its Tx (dense sets, write
+	// at most one transaction at a time, so its Tx (member lists, write
 	// buffer, elision list) is recycled across transactions and retries.
 	txs      []Tx
 	cost     sim.CostModel
@@ -189,30 +189,35 @@ type Memory struct {
 	col      *obs.Collector // nil when observability is off
 
 	// Subscription-state machinery for the lazy-subscription hardware fix.
-	// subLines holds the fallback lock's lines (SetSubscriptionLines);
-	// subTracking is true once any line is registered, letting the common
-	// path skip the check with one branch. fbHolder is the proc currently
-	// holding the fallback lock non-speculatively (TraceLock/TraceUnlock),
-	// or -1; holderReads accumulates the lines that holder has read
-	// non-transactionally during the current hold, the footprint a
-	// dangerous write is checked against.
+	// subLines lists the fallback lock's lines (SetSubscriptionLines), each
+	// marked lineMeta.subLine. fbHolder is the proc currently holding the
+	// fallback lock non-speculatively (TraceLock/TraceUnlock), or -1;
+	// holderReads lists the lines that holder has read non-transactionally
+	// during the current hold, each marked lineMeta.holderRead — the
+	// footprint a dangerous write is checked against. The lists exist only
+	// to clear the marks again.
 	fixDangerous bool
-	subTracking  bool
-	subLines     lineSet
+	subLines     []int
 	fbHolder     int
-	holderReads  lineSet
+	holderReads  []int
 }
 
-// lineMeta is the per-cache-line state. readers/writer track transactional
-// read and write sets for conflict detection; sharers/owner track a MESI-ish
-// caching state used only for the cost model (who pays a hit vs a miss).
+// lineMeta is the per-cache-line state. readers/writer are the
+// transactional read and write sets for conflict detection (see Tx);
+// sharers/owner track a MESI-ish caching state used only for the cost
+// model (who pays a hit vs a miss). The two masks lead so the struct packs
+// into 24 bytes.
 type lineMeta struct {
 	readers uint64
-	writer  int16 // proc id, or -1
 	// sharers is the set of procs holding the line (shared state).
 	sharers uint64
+	writer  int16 // proc id, or -1
 	// owner is the proc holding the line exclusively after a write, or -1.
 	owner int16
+	// subLine marks a registered fallback-lock line (SetSubscriptionLines);
+	// holderRead marks a line the fallback holder has read during its hold.
+	subLine    bool
+	holderRead bool
 }
 
 // resolve applies the Config defaults.
@@ -283,18 +288,17 @@ func (m *Memory) Reset(mach *sim.Machine, cfg Config) {
 	for i := range m.cur {
 		m.cur[i] = nil
 	}
-	// Keep existing Tx pools (their dense sets clear by epoch and their
-	// write buffers drain at cleanup); only grow for extra procs.
+	// Keep existing Tx pools (their member lists empty at the next reset
+	// and their write buffers drain at cleanup); only grow for extra procs.
 	if len(m.txs) < procs {
 		m.txs = append(m.txs, make([]Tx, procs-len(m.txs))...)
 	}
 	m.tracer = nil
 	m.col = nil
 	m.fixDangerous = cfg.AbortOnDangerousWhileUnsubscribed
-	m.subTracking = false
-	m.subLines.clear()
+	m.subLines = m.subLines[:0]
 	m.fbHolder = -1
-	m.holderReads.clear()
+	m.holderReads = m.holderReads[:0]
 }
 
 // Store exposes the raw word store (for setup code and allocators).
@@ -335,10 +339,10 @@ func (m *Memory) TraceAuxWait(p *sim.Proc) {
 // causality engine can tie cascades to the acquire that rooted them.
 func (m *Memory) TraceLock(p *sim.Proc) {
 	m.fbHolder = p.ID()
-	if m.fixDangerous {
-		m.holderReads.grow(m.store.Lines())
-		m.holderReads.clear()
+	for _, l := range m.holderReads {
+		m.meta[l].holderRead = false
 	}
+	m.holderReads = m.holderReads[:0]
 	m.tracer.Emit(p.Clock(), p.ID(), trace.LockAcquire, 0)
 	m.col.LockAcquired(p.Clock(), p.ID())
 }
@@ -372,14 +376,16 @@ func (m *Memory) TraceAuxUnlock(p *sim.Proc) {
 // Registering an empty slice disables tracking. The registration survives
 // until the next SetSubscriptionLines or Reset.
 func (m *Memory) SetSubscriptionLines(lines []int) {
-	m.subLines.grow(m.store.Lines())
-	m.subLines.clear()
+	for _, l := range m.subLines {
+		m.meta[l].subLine = false
+	}
+	m.subLines = m.subLines[:0]
 	for _, l := range lines {
-		if !m.subLines.has(l) {
-			m.subLines.add(l)
+		if !m.meta[l].subLine {
+			m.meta[l].subLine = true
+			m.subLines = append(m.subLines, l)
 		}
 	}
-	m.subTracking = m.subLines.size() > 0
 }
 
 // DangerousFixEnabled reports whether AbortOnDangerousWhileUnsubscribed is
@@ -450,8 +456,9 @@ func (m *Memory) LoadNT(p *sim.Proc, a mem.Addr) int64 {
 		// The dangerous-action fix needs the holder's read footprint: a
 		// plain load leaves no conflict-metadata trace (only stores doom),
 		// which is exactly the asymmetry lazy subscription exploits.
-		if l := mem.LineOf(a); !m.holderReads.has(l) {
-			m.holderReads.add(l)
+		if l := mem.LineOf(a); !m.meta[l].holderRead {
+			m.meta[l].holderRead = true
+			m.holderReads = append(m.holderReads, l)
 		}
 	}
 	return m.store.Load(a)

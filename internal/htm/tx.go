@@ -7,61 +7,27 @@ import (
 	"elision/internal/sim"
 )
 
-// lineSet is an epoch-stamped dense set of cache-line ids: membership is
-// one array compare (stamp[l] == epoch), insertion one store plus an append
-// to the member list, and clearing bumps the epoch instead of touching any
-// line. Sized by Store.Lines() once and reused for every transaction a proc
-// runs, it replaces the per-transaction map allocations that dominated the
-// simulator's profile.
-type lineSet struct {
-	stamp []uint32
-	epoch uint32
-	lines []int // members, in insertion order (deterministic iteration)
-}
-
-// grow sizes the stamp array for a memory of n lines (no-op once grown).
-func (s *lineSet) grow(n int) {
-	if len(s.stamp) < n {
-		s.stamp = make([]uint32, n)
-		s.epoch = 0
-	}
-}
-
-// clear empties the set by bumping the epoch. On the (once per 2^32
-// transactions) wraparound the stamps are scrubbed so ancient entries
-// cannot alias the fresh epoch.
-func (s *lineSet) clear() {
-	s.epoch++
-	if s.epoch == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.epoch = 1
-	}
-	s.lines = s.lines[:0]
-}
-
-func (s *lineSet) has(l int) bool { return s.stamp[l] == s.epoch }
-
-func (s *lineSet) add(l int) {
-	s.stamp[l] = s.epoch
-	s.lines = append(s.lines, l)
-}
-
-func (s *lineSet) size() int { return len(s.lines) }
-
 // Tx is one hardware transaction in flight. A Tx is only valid inside the
 // body passed to Memory.Atomic, on the proc that started it. Tx state is
 // pooled per proc (Memory.txs) and recycled across transactions and
-// retries: the dense sets clear by epoch, the write buffer and elision list
-// keep their backing storage, so a steady-state transaction allocates
-// nothing.
+// retries: the member lists, write buffer and elision list keep their
+// backing storage, and an abort unwinds with a pointer to the pooled
+// unwind record, so a steady-state transaction allocates nothing.
+//
+// Read/write-set membership lives in the lines' own metadata: the proc is
+// in line l's read set iff its bit is set in meta[l].readers, and in l's
+// write set iff meta[l].writer is its id. The write rule is exact for a
+// transaction that is not doomed: an access that takes over a live
+// transaction's write line dooms that transaction, and a doomed one never
+// reaches another membership test (every access steps first). readLines
+// and writeLines list the members in insertion order, for set sizes,
+// capacity aborts and cleanup.
 type Tx struct {
 	p *sim.Proc
 	m *Memory
 
-	readSet    lineSet
-	writeSet   lineSet
+	readLines  []int
+	writeLines []int
 	writeBuf   map[mem.Addr]int64 // pooled; entries removed at cleanup
 	writeOrder []mem.Addr         // publication order (maps iterate randomly)
 	elided     []elideEntry       // tiny (usually one lock word); linear scan
@@ -87,6 +53,10 @@ type Tx struct {
 	// illusions and the read set.
 	subscribed bool
 	escaped    bool
+
+	// unwind is the abort record Atomic recovers: abortNow fills it and
+	// panics with its address, so unwinding boxes nothing.
+	unwind txAbortPanic
 }
 
 // elideEntry tracks one XACQUIRE-elided location: the original memory value
@@ -112,11 +82,8 @@ func (tx *Tx) elideAt(a mem.Addr) *elideEntry {
 // reset prepares the pooled Tx for a fresh transaction on proc p.
 func (tx *Tx) reset(p *sim.Proc, m *Memory) {
 	tx.p, tx.m = p, m
-	n := m.store.Lines()
-	tx.readSet.grow(n)
-	tx.writeSet.grow(n)
-	tx.readSet.clear()
-	tx.writeSet.clear()
+	tx.readLines = tx.readLines[:0]
+	tx.writeLines = tx.writeLines[:0]
 	if tx.writeBuf == nil {
 		tx.writeBuf = make(map[mem.Addr]int64, 8)
 	}
@@ -131,7 +98,8 @@ func (tx *Tx) reset(p *sim.Proc, m *Memory) {
 	tx.escaped = false
 }
 
-// txAbortPanic unwinds the transaction body back to Atomic.
+// txAbortPanic unwinds the transaction body back to Atomic; it is raised by
+// pointer to the Tx's pooled unwind field.
 type txAbortPanic struct {
 	st Status
 }
@@ -151,7 +119,8 @@ func (tx *Tx) abortNow(cause Cause, code int) {
 		st.ConflictTid = tx.doomTid
 		st.ConflictNT = tx.doomNT
 	}
-	panic(txAbortPanic{st})
+	tx.unwind.st = st
+	panic(&tx.unwind)
 }
 
 // step is executed before every transactional access: a doomed transaction
@@ -188,7 +157,8 @@ func (tx *Tx) step() {
 
 // abortNoRetry unwinds with the retry hint clear.
 func (tx *Tx) abortNoRetry(cause Cause) {
-	panic(txAbortPanic{Status{Cause: cause, Retry: false, ConflictLine: -1, ConflictTid: -1}})
+	tx.unwind.st = Status{Cause: cause, Retry: false, ConflictLine: -1, ConflictTid: -1}
+	panic(&tx.unwind)
 }
 
 // Proc returns the proc executing this transaction.
@@ -197,12 +167,12 @@ func (tx *Tx) Proc() *sim.Proc { return tx.p }
 // addRead registers line l in the read set, applying the conflict policy to
 // any conflicting writer and the capacity limit to ourselves.
 func (tx *Tx) addRead(l int) {
-	if tx.m.subTracking && !tx.subscribed && tx.m.subLines.has(l) {
+	lm := &tx.m.meta[l]
+	if lm.subLine {
 		// Reading a fallback-lock line transactionally IS subscription:
 		// from here on the holder's acquiring store dooms this transaction.
 		tx.subscribed = true
 	}
-	lm := &tx.m.meta[l]
 	if lm.writer >= 0 && int(lm.writer) != tx.p.ID() {
 		if tx.m.policy == CommitterWins && !tx.m.cur[lm.writer].doomed {
 			tx.doomLine, tx.doomTid = l, int(lm.writer)
@@ -211,27 +181,27 @@ func (tx *Tx) addRead(l int) {
 		}
 		tx.m.doom(tx.p, tx.m.cur[lm.writer], l)
 	}
-	if !tx.readSet.has(l) {
-		if tx.readSet.size() >= tx.m.maxRead {
+	if me := uint64(1) << tx.p.ID(); lm.readers&me == 0 {
+		if len(tx.readLines) >= tx.m.maxRead {
 			tx.abortNow(CauseCapacity, 0)
 		}
-		tx.readSet.add(l)
-		lm.readers |= 1 << tx.p.ID()
+		tx.readLines = append(tx.readLines, l)
+		lm.readers |= me
 	}
 }
 
 // addWrite registers line l in the write set, resolving conflicts with all
 // other readers and writers of the line per the policy.
 func (tx *Tx) addWrite(l int) {
+	lm := &tx.m.meta[l]
 	if tx.m.fixDangerous && !tx.subscribed && tx.m.fbHolder >= 0 &&
-		tx.m.fbHolder != tx.p.ID() && tx.m.holderReads.has(l) {
+		tx.m.fbHolder != tx.p.ID() && lm.holderRead {
 		// Dangerous action (b): writing a line the fallback holder has read.
 		// The holder will not see our buffered write doom anything — plain
 		// reads leave no conflict trace — so an unsubscribed commit could
 		// mutate the holder's footprint mid-critical-section.
 		tx.abortNow(CauseDangerous, 0)
 	}
-	lm := &tx.m.meta[l]
 	if tx.m.policy == CommitterWins {
 		// Abort ourselves if any live transactional owner exists.
 		if lm.writer >= 0 && int(lm.writer) != tx.p.ID() && !tx.m.cur[lm.writer].doomed {
@@ -260,11 +230,11 @@ func (tx *Tx) addWrite(l int) {
 		mask &^= 1 << tid
 		tx.m.doom(tx.p, tx.m.cur[tid], l)
 	}
-	if !tx.writeSet.has(l) {
-		if tx.writeSet.size() >= tx.m.maxWrite {
+	if int(lm.writer) != tx.p.ID() {
+		if len(tx.writeLines) >= tx.m.maxWrite {
 			tx.abortNow(CauseCapacity, 0)
 		}
-		tx.writeSet.add(l)
+		tx.writeLines = append(tx.writeLines, l)
 		lm.writer = int16(tx.p.ID())
 	}
 }
@@ -510,14 +480,15 @@ func (tx *Tx) commit() Status {
 
 // cleanup removes this transaction's lines from the conflict-tracking
 // metadata and drains the pooled write buffer. Safe to call after either
-// commit or abort; the dense sets themselves are cleared by the next reset
-// (their sizes stay readable for the abort-path collector).
+// commit or abort; the member lists are emptied by the next reset (their
+// lengths stay readable for the abort-path collector). A write line another
+// access took over (dooming us) already names its new owner and is left.
 func (tx *Tx) cleanup() {
 	me := uint64(1) << tx.p.ID()
-	for _, l := range tx.readSet.lines {
+	for _, l := range tx.readLines {
 		tx.m.meta[l].readers &^= me
 	}
-	for _, l := range tx.writeSet.lines {
+	for _, l := range tx.writeLines {
 		if int(tx.m.meta[l].writer) == tx.p.ID() {
 			tx.m.meta[l].writer = -1
 		}

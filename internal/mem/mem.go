@@ -1,7 +1,7 @@
 // Package mem provides the simulated shared memory for the machine: a
 // word-addressed store of int64 values grouped into cache lines, a bump
-// allocator with a free list, and per-line waiter queues used to model
-// threads spinning on a location.
+// allocator with a free list, and a registry of the procs parked on lines,
+// used to model threads spinning on a location.
 //
 // mem knows nothing about transactions; the htm package layers conflict
 // detection on top of these lines. All methods must be called from the
@@ -29,13 +29,15 @@ const lineShift = 3 // log2(LineWords)
 
 // Store is the simulated physical memory.
 type Store struct {
-	words   []int64
-	waiters [][]*sim.Proc // line id -> blocked procs
-	// nWaiters counts registered waiters across all lines, so the wakeup
-	// path on every visible store is a single zero test in the common case
-	// of nobody parked (speculative phases park no one).
-	nWaiters int
-	brk      Addr // bump-allocation frontier
+	words []int64
+	// waiters is the registry of parked procs, one entry per (line, proc)
+	// registration. A parked proc watches a handful of lines, so the
+	// registry holds at most procs × watched lines entries however large
+	// memory is, and the wakeup path on every visible store is a single
+	// length test in the common case of nobody parked (speculative phases
+	// park no one).
+	waiters []waiter
+	brk     Addr // bump-allocation frontier
 	// hiWater is the highest allocation frontier this backing array has ever
 	// reached. Simulated programs only write allocated words, so everything
 	// at or above hiWater is zero; Reset scrubs only [0, hiWater) instead of
@@ -52,7 +54,6 @@ func NewStore(words int) *Store {
 	lines := (words + LineWords - 1) / LineWords
 	return &Store{
 		words:   make([]int64, lines*LineWords),
-		waiters: make([][]*sim.Proc, lines),
 		brk:     LineWords, // burn line 0 so Addr 0 stays nil
 		hiWater: LineWords,
 	}
@@ -79,15 +80,8 @@ func (s *Store) Reset(words int) {
 	} else {
 		s.words = make([]int64, n)
 	}
-	if cap(s.waiters) >= lines {
-		s.waiters = s.waiters[:lines]
-		for i := range s.waiters {
-			s.waiters[i] = s.waiters[i][:0]
-		}
-	} else {
-		s.waiters = make([][]*sim.Proc, lines)
-	}
-	s.nWaiters = 0
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 	s.brk = LineWords
 	s.hiWater = LineWords
 }
@@ -110,9 +104,10 @@ func (s *Store) Snapshot() ([]int64, Addr) {
 // Restore overwrites memory with a snapshot taken on a Store of the same
 // geometry: the image is copied over the front of memory, any previously
 // allocated words beyond it are zeroed, and the allocation frontier is set
-// to the snapshot's. Waiter queues are untouched (a Store being restored
-// must have none). Restoring is byte-for-byte equivalent to replaying the
-// allocations and stores that produced the snapshot.
+// to the snapshot's. The waiter registry is untouched (a Store being
+// restored must have no parked procs). Restoring is byte-for-byte
+// equivalent to replaying the allocations and stores that produced the
+// snapshot.
 func (s *Store) Restore(img []int64, brk Addr) {
 	if int(brk) > len(s.words) {
 		panic(fmt.Sprintf("mem: snapshot frontier %d exceeds store size %d", brk, len(s.words)))
@@ -131,7 +126,7 @@ func (s *Store) Restore(img []int64, brk Addr) {
 func (s *Store) Words() int { return len(s.words) }
 
 // Lines returns the memory size in cache lines.
-func (s *Store) Lines() int { return len(s.waiters) }
+func (s *Store) Lines() int { return len(s.words) >> lineShift }
 
 // LineOf maps a word address to its cache-line index.
 func LineOf(a Addr) int { return int(a >> lineShift) }
@@ -185,43 +180,52 @@ func (s *Store) AllocLines(n int) Addr {
 	return s.Alloc(n * LineWords)
 }
 
-// AddWaiter registers p as blocked on the line containing a. The caller must
-// subsequently call p.Block; any write to the line wakes all its waiters.
-func (s *Store) AddWaiter(a Addr, p *sim.Proc) {
-	l := LineOf(a)
-	s.waiters[l] = append(s.waiters[l], p)
-	s.nWaiters++
+// waiter is one registration: proc p parked on cache line line.
+type waiter struct {
+	line int
+	p    *sim.Proc
 }
 
-// RemoveWaiter deregisters p from the line containing a (used after a
-// timeout wake, so a later store does not wake a proc that no longer waits).
+// AddWaiter registers p as blocked on the line containing a. The caller must
+// subsequently call p.Block; any write to the line wakes all its waiters.
+// Registering twice on one line takes two registrations.
+func (s *Store) AddWaiter(a Addr, p *sim.Proc) {
+	s.waiters = append(s.waiters, waiter{LineOf(a), p})
+}
+
+// RemoveWaiter drops one registration of p on the line containing a, if
+// any (used after a timeout wake, so a later store does not wake a proc
+// that no longer waits).
 func (s *Store) RemoveWaiter(a Addr, p *sim.Proc) {
 	l := LineOf(a)
-	ws := s.waiters[l]
-	for i, q := range ws {
-		if q == p {
-			ws[i] = ws[len(ws)-1]
-			s.waiters[l] = ws[:len(ws)-1]
-			s.nWaiters--
+	for i, w := range s.waiters {
+		if w.line == l && w.p == p {
+			last := len(s.waiters) - 1
+			s.waiters[i] = s.waiters[last]
+			s.waiters[last] = waiter{}
+			s.waiters = s.waiters[:last]
 			return
 		}
 	}
 }
 
 // WakeWaiters wakes every proc blocked on the line containing a, as cause,
-// with the given coherency latency. Called by htm on every visible store.
+// with the given coherency latency, and drops their registrations. Called
+// by htm on every visible store. Wake order does not matter: a wake only
+// marks its target runnable.
 func (s *Store) WakeWaiters(a Addr, by *sim.Proc, cause sim.WakeCause, latency uint64) {
-	if s.nWaiters == 0 {
+	if len(s.waiters) == 0 {
 		return
 	}
 	l := LineOf(a)
-	ws := s.waiters[l]
-	if len(ws) == 0 {
-		return
+	kept := s.waiters[:0]
+	for _, w := range s.waiters {
+		if w.line == l {
+			by.Wake(w.p, cause, latency)
+		} else {
+			kept = append(kept, w)
+		}
 	}
-	for _, q := range ws {
-		by.Wake(q, cause, latency)
-	}
-	s.nWaiters -= len(ws)
-	s.waiters[l] = ws[:0]
+	clear(s.waiters[len(kept):])
+	s.waiters = kept
 }
