@@ -20,49 +20,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
+	"elision/internal/core"
 	"elision/internal/fleet"
 	"elision/internal/harness"
 	"elision/internal/obs/causality"
 	"elision/internal/obs/rollup"
 )
-
-// knownSchemes lists every scheme name the harness factory accepts.
-func knownSchemes() []string {
-	out := []string{string(harness.SchemeNoLock)}
-	for _, s := range harness.AllSchemes {
-		out = append(out, string(s))
-	}
-	return append(out, string(harness.SchemeHLESCMGrouped), string(harness.SchemeSLRSCMGrouped),
-		string(harness.SchemeAdaptiveHLE), string(harness.SchemeAdaptiveSLR),
-		string(harness.SchemeLazySub))
-}
-
-func knownLocks() []string {
-	return []string{
-		string(harness.LockTTAS), string(harness.LockMCS),
-		string(harness.LockTicketHLE), string(harness.LockCLHHLE),
-	}
-}
-
-func knownScheme(name string) bool {
-	for _, s := range knownSchemes() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
-func knownLock(name string) bool {
-	for _, l := range knownLocks() {
-		if l == name {
-			return true
-		}
-	}
-	return false
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -98,11 +64,11 @@ func run(args []string, stdout io.Writer) error {
 		sc.Budget = *budget
 	}
 
-	if *scheme != "" && !knownScheme(*scheme) {
-		return fmt.Errorf("diagnose: unknown scheme %q (known: %s)", *scheme, strings.Join(knownSchemes(), ", "))
+	if *scheme != "" && !slices.Contains(core.SchemeNames(), *scheme) {
+		return fmt.Errorf("diagnose: unknown scheme %q (known: %s)", *scheme, strings.Join(core.SchemeNames(), ", "))
 	}
-	if *lock != "" && !knownLock(*lock) {
-		return fmt.Errorf("diagnose: unknown lock %q (known: %s)", *lock, strings.Join(knownLocks(), ", "))
+	if *lock != "" && !slices.Contains(core.LockNames(), *lock) {
+		return fmt.Errorf("diagnose: unknown lock %q (known: %s)", *lock, strings.Join(core.LockNames(), ", "))
 	}
 
 	panel := harness.DefaultDiagnosePanel()

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"elision/internal/core"
 	"elision/internal/obs"
 )
 
@@ -183,6 +184,24 @@ func TestDiagnosePromLints(t *testing.T) {
 	for _, want := range []string{"flight_chains_total", "flight_cycles_total", "campaign_runs_total"} {
 		if !bytes.Contains(prom, []byte(want)) {
 			t.Errorf("-prom exposition lacks %s:\n%s", want, prom)
+		}
+	}
+}
+
+// TestAcceptsEveryFactoryName: every scheme and lock the factory builds is a
+// valid -scheme or -lock restriction.
+func TestAcceptsEveryFactoryName(t *testing.T) {
+	var cases [][]string
+	for _, s := range core.SchemeNames() {
+		cases = append(cases, []string{"-scheme", s})
+	}
+	for _, l := range core.LockNames() {
+		cases = append(cases, []string{"-lock", l})
+	}
+	for _, c := range cases {
+		var out bytes.Buffer
+		if err := run(append(c, "-quick", "-budget", "20000", "-j", "1"), &out); err != nil {
+			t.Errorf("run(%v) = %v", c, err)
 		}
 	}
 }

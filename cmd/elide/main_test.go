@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"elision/internal/core"
 )
 
 // TestRejectsBadFleetFlags: elide accepts -j/-shards for cmd-tool
@@ -71,5 +73,23 @@ func TestAdaptiveRunsEndToEnd(t *testing.T) {
 		"-size", "64", "-budget", "100000", "-adaptive", "2/2,4/2,0/4,2/2"}
 	if err := run(args); err != nil {
 		t.Fatalf("run(%v) = %v", args, err)
+	}
+}
+
+// TestAcceptsEveryFactoryName: every scheme and lock the factory builds runs
+// end to end, so the tool's roster cannot drift from the factory's.
+func TestAcceptsEveryFactoryName(t *testing.T) {
+	small := []string{"-threads", "1", "-size", "16", "-budget", "20000"}
+	var cases [][]string
+	for _, s := range core.SchemeNames() {
+		cases = append(cases, []string{"-scheme", s})
+	}
+	for _, l := range core.LockNames() {
+		cases = append(cases, []string{"-lock", l})
+	}
+	for _, c := range cases {
+		if err := run(append(c, small...)); err != nil {
+			t.Errorf("run(%v) = %v", c, err)
+		}
 	}
 }

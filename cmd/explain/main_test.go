@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"elision/internal/core"
 	"elision/internal/obs"
 )
 
@@ -148,5 +149,15 @@ func TestChainChronicleAndPerfetto(t *testing.T) {
 	if err := run([]string{"-chain", "t999#999"}, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "not found") {
 		t.Fatalf("missing chain error = %v, want not-found", err)
+	}
+}
+
+// TestAcceptsEveryFactoryName: every scheme the factory builds is a valid
+// side spec.
+func TestAcceptsEveryFactoryName(t *testing.T) {
+	for _, s := range core.SchemeNames() {
+		if got, _, err := parseSpec(s); err != nil || string(got) != s {
+			t.Errorf("parseSpec(%q) = %q, %v", s, got, err)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"elision/internal/core"
@@ -28,11 +29,6 @@ import (
 // have nothing to tune.
 var adaptiveSchemes = []string{core.SchemeNameAdaptiveHLE, core.SchemeNameAdaptiveSLR}
 
-var knownLocks = []string{
-	core.LockNameTTAS, core.LockNameTTASBackoff, core.LockNameMCS,
-	core.LockNameTicketHLE, core.LockNameCLHHLE,
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -43,7 +39,7 @@ func main() {
 func run(args []string, stdout *os.File) error {
 	fs := flag.NewFlagSet("tune", flag.ContinueOnError)
 	schemeName := fs.String("scheme", core.SchemeNameAdaptiveSLR, "adaptive family member to tune: adaptive-hle|adaptive-slr")
-	lockName := fs.String("lock", core.LockNameMCS, "lock: ttas|ttas-backoff|mcs|ticket-hle|clh-hle")
+	lockName := fs.String("lock", core.LockNameMCS, "lock: "+strings.Join(core.LockNames(), "|"))
 	structure := fs.String("structure", "rbtree", "data structure: rbtree|hashtable")
 	size := fs.Int("size", 0, "steady-state element count (0 = the lemming workload's)")
 	mixFlag := fs.String("mix", "10,10", "insertPct,deletePct (rest lookups)")
@@ -72,23 +68,11 @@ func run(args []string, stdout *os.File) error {
 
 	cfg := tuner.SmokeConfig(fc)
 	if !*smoke {
-		ok := false
-		for _, s := range adaptiveSchemes {
-			if s == *schemeName {
-				ok = true
-			}
-		}
-		if !ok {
+		if !slices.Contains(adaptiveSchemes, *schemeName) {
 			return fmt.Errorf("tune: -scheme %q is not tunable (known: %s)", *schemeName, strings.Join(adaptiveSchemes, "|"))
 		}
-		known := false
-		for _, l := range knownLocks {
-			if l == *lockName {
-				known = true
-			}
-		}
-		if !known {
-			return fmt.Errorf("tune: unknown -lock %q (known: %s)", *lockName, strings.Join(knownLocks, "|"))
+		if !slices.Contains(core.LockNames(), *lockName) {
+			return fmt.Errorf("tune: unknown -lock %q (known: %s)", *lockName, strings.Join(core.LockNames(), "|"))
 		}
 		var mix harness.Mix
 		if _, err := fmt.Sscanf(strings.ReplaceAll(*mixFlag, ",", " "), "%d %d", &mix.InsertPct, &mix.DeletePct); err != nil {

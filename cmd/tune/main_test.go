@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"elision/internal/core"
 	"elision/internal/obs"
 )
 
@@ -112,6 +113,23 @@ func TestSmokePromLints(t *testing.T) {
 	} {
 		if !bytes.Contains(prom, []byte(want)) {
 			t.Errorf("-prom exposition lacks %s", want)
+		}
+	}
+}
+
+// TestAcceptsEveryFactoryLock: every lock the factory builds can be tuned
+// over (a one-candidate search on a small workload).
+func TestAcceptsEveryFactoryLock(t *testing.T) {
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	for _, l := range core.LockNames() {
+		args := []string{"-lock", l, "-candidates", "1", "-seeds", "1", "-budget", "4000",
+			"-threads", "2", "-size", "16", "-j", "1"}
+		if err := run(args, null); err != nil {
+			t.Errorf("run(%v) = %v", args, err)
 		}
 	}
 }

@@ -174,24 +174,24 @@ func (s *System) OptSLR(l Lock) Scheme { return core.NewSLR(s.memory, l) }
 // HLESCM returns software-assisted conflict management over HLE-style
 // attempts (Figure 7), with a fair MCS auxiliary lock.
 func (s *System) HLESCM(main Lock) Scheme {
-	return core.NewSCM(s.memory, main, locks.NewMCS(s.memory, s.threads), core.SCMOverHLE)
+	return core.NewSCM(s.memory, main, locks.NewMCS(s.memory, s.threads), core.OverHLE)
 }
 
 // SLRSCM returns conflict management over SLR attempts.
 func (s *System) SLRSCM(main Lock) Scheme {
-	return core.NewSCM(s.memory, main, locks.NewMCS(s.memory, s.threads), core.SCMOverSLR)
+	return core.NewSCM(s.memory, main, locks.NewMCS(s.memory, s.threads), core.OverSLR)
 }
 
 // GroupedHLESCM returns the grouped-conflict-management extension (§6
 // Remark / §8 future work): aborted threads serialize per conflict
 // location, across groups auxiliary locks, instead of one global group.
 func (s *System) GroupedHLESCM(main Lock, groups int) Scheme {
-	return core.NewGroupedSCM(s.memory, main, core.SCMOverHLE, groups, s.threads)
+	return core.NewGroupedSCM(s.memory, main, core.OverHLE, groups, s.threads)
 }
 
 // GroupedSLRSCM is the grouped extension over SLR attempts.
 func (s *System) GroupedSLRSCM(main Lock, groups int) Scheme {
-	return core.NewGroupedSCM(s.memory, main, core.SCMOverSLR, groups, s.threads)
+	return core.NewGroupedSCM(s.memory, main, core.OverSLR, groups, s.threads)
 }
 
 // NewBackoffTTASLock allocates a TTAS lock with bounded exponential backoff.

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"elision/internal/htm"
-	"elision/internal/locks"
-	"elision/internal/sim"
 )
 
 // AbortClass buckets abort causes the way production elision configs do
@@ -173,164 +171,4 @@ func ParseAdaptiveConfig(s string) (AdaptiveConfig, error) {
 		return c, err
 	}
 	return c, nil
-}
-
-// AdaptiveMode selects the speculative attempt the adaptive policy wraps.
-type AdaptiveMode int8
-
-// Adaptive modes.
-const (
-	// AdaptiveOverHLE keeps HLE semantics and opacity: the elided acquire
-	// subscribes to the lock at transaction start, and a busy lock aborts the
-	// attempt immediately (CodeLockBusy) instead of spinning in-transaction.
-	AdaptiveOverHLE AdaptiveMode = iota + 1
-	// AdaptiveOverSLR wraps SLR attempts: the transaction never touches the
-	// lock until commit time, where it reads it and self-aborts if held.
-	AdaptiveOverSLR
-)
-
-// adaptiveThread is one thread's rolling elision state. skip is the
-// ck_elide_stat skip counter: the number of upcoming acquisitions that must
-// go straight to the fallback lock.
-type adaptiveThread struct {
-	skip int
-}
-
-// Adaptive is the ck_elide-style policy family: a speculative attempt loop
-// whose retries are budgeted per abort class and whose fallbacks open
-// per-thread forfeit windows, so a thread that keeps losing speculation
-// stops paying for it — the production repair for pathologies like the
-// lemming effect that fixed-MAX_RETRIES policies walk straight into.
-//
-// Per-thread state is indexed by proc ID, so one Adaptive serves every proc
-// of its machine while each thread adapts independently; all decisions are
-// deterministic functions of the abort statuses the simulator hands back.
-type Adaptive struct {
-	m       *htm.Memory
-	l       locks.Elidable
-	mode    AdaptiveMode
-	cfg     AdaptiveConfig
-	threads []adaptiveThread
-}
-
-var _ Scheme = (*Adaptive)(nil)
-
-// NewAdaptive builds an adaptive scheme over l for procs threads, with the
-// default config. Use SetConfig to install a tuned one.
-func NewAdaptive(m *htm.Memory, l locks.Elidable, mode AdaptiveMode, procs int) *Adaptive {
-	return &Adaptive{
-		m:       m,
-		l:       l,
-		mode:    mode,
-		cfg:     DefaultAdaptiveConfig(),
-		threads: make([]adaptiveThread, procs),
-	}
-}
-
-// Name implements Scheme.
-func (s *Adaptive) Name() string {
-	if s.mode == AdaptiveOverSLR {
-		return "adaptive-slr"
-	}
-	return "adaptive-hle"
-}
-
-// Config returns the active config.
-func (s *Adaptive) Config() AdaptiveConfig { return s.cfg }
-
-// SetConfig installs a validated config. Call before the machine runs;
-// changing budgets mid-run would make outcomes depend on wall progress.
-func (s *Adaptive) SetConfig(cfg AdaptiveConfig) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	s.cfg = cfg
-	return nil
-}
-
-// attempt runs one speculative execution under the chosen inner mode.
-func (s *Adaptive) attempt(p *sim.Proc, body func(c htm.Ctx)) htm.Status {
-	return s.m.Atomic(p, func(tx *htm.Tx) {
-		if s.mode == AdaptiveOverHLE {
-			ok, _ := s.l.SpecAcquire(tx)
-			if !ok {
-				// A busy lock dooms the attempt; abort now and charge the
-				// busy budget rather than spin in-transaction.
-				tx.Abort(CodeLockBusy)
-			}
-			body(ctx(s.m, p))
-			s.l.SpecRelease(tx)
-			return
-		}
-		body(ctx(s.m, p))
-		if s.l.HeldTx(tx) {
-			tx.Abort(CodeSLRLockHeld)
-		}
-	})
-}
-
-// fallback completes the critical section holding the lock.
-func (s *Adaptive) fallback(p *sim.Proc, body func(c htm.Ctx)) {
-	s.m.TraceLockWait(p)
-	s.l.Lock(p)
-	s.m.TraceLock(p)
-	body(ctx(s.m, p))
-	s.l.Unlock(p)
-	s.m.TraceUnlock(p)
-}
-
-// Critical implements Scheme: the forfeit-window state machine around a
-// per-class-budgeted retry loop.
-//
-//	skip > 0  ──────────────▶ take the lock, skip--          (forfeited op)
-//	skip == 0 ──▶ speculate; abort of class c:
-//	                budget[c] left  ──▶ retry (budget[c]--)
-//	                budget[c] == 0  ──▶ skip = Forfeit[c], take the lock
-func (s *Adaptive) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
-	o := Outcome{ExhaustedClass: ClassNone}
-	t := &s.threads[p.ID()]
-	if t.skip > 0 {
-		// Inside a forfeit window: elision is disqualified, go straight to
-		// the lock (ck_elide's stat->skip fast path).
-		t.skip--
-		o.Forfeited = true
-		o.ForfeitExited = t.skip == 0
-		o.Attempts++
-		s.fallback(p, body)
-		return o
-	}
-	rem := s.cfg.Retry
-	for {
-		if s.mode == AdaptiveOverHLE {
-			// An HLE-style attempt is doomed while the lock is held; wait it
-			// out rather than burn budget on a guaranteed busy abort.
-			s.l.WaitUntilFree(p)
-		}
-		o.Attempts++
-		st := s.attempt(p, body)
-		if st.Committed {
-			o.Speculative = true
-			return o
-		}
-		o.Aborts++
-		o.LastCause = st.Cause
-		cl := ClassifyAbort(st)
-		if rem[cl] > 0 {
-			rem[cl]--
-			if s.mode == AdaptiveOverSLR && cl == ClassBusy {
-				// A non-speculative holder dooms the commit-time check; wait
-				// for it to leave before spending the next busy retry.
-				s.l.WaitUntilFree(p)
-			}
-			continue
-		}
-		// This class's budget is exhausted: open its forfeit window and
-		// complete under the lock.
-		t.skip = s.cfg.Forfeit[cl]
-		o.ForfeitEntered = true
-		o.ExhaustedClass = cl
-		o.Attempts++
-		s.fallback(p, body)
-		return o
-	}
 }

@@ -75,7 +75,7 @@ func TestClassifyAbort(t *testing.T) {
 
 // adaptiveRig builds a 2-word shared counter workload over an adaptive
 // scheme and returns its per-op outcomes in completion order.
-func adaptiveRig(t *testing.T, mode AdaptiveMode, cfg AdaptiveConfig, threads, ops int) (Stats, []Outcome) {
+func adaptiveRig(t *testing.T, mode Mode, cfg AdaptiveConfig, threads, ops int) (Stats, []Outcome) {
 	t.Helper()
 	m := sim.MustNew(sim.Config{Procs: threads, Seed: 7})
 	hm := htm.NewMemory(m, htm.Config{Words: 1 << 14, Cost: testCost()})
@@ -110,7 +110,7 @@ func adaptiveRig(t *testing.T, mode AdaptiveMode, cfg AdaptiveConfig, threads, o
 }
 
 func TestAdaptiveCompletesAndCounts(t *testing.T) {
-	for _, mode := range []AdaptiveMode{AdaptiveOverHLE, AdaptiveOverSLR} {
+	for _, mode := range []Mode{OverHLE, OverSLR} {
 		stats, _ := adaptiveRig(t, mode, DefaultAdaptiveConfig(), 4, 50)
 		if stats.Ops != 200 {
 			t.Fatalf("mode %d: ops = %d, want 200", mode, stats.Ops)
@@ -137,7 +137,7 @@ func TestAdaptiveForfeitWindow(t *testing.T) {
 		Retry:   [NumAbortClasses]int{0, 8, 0, 0},
 		Forfeit: [NumAbortClasses]int{3, 1, 1, 1},
 	}
-	stats, outs := adaptiveRig(t, AdaptiveOverSLR, cfg, 2, 40)
+	stats, outs := adaptiveRig(t, OverSLR, cfg, 2, 40)
 	if stats.ForfeitEntries == 0 {
 		t.Fatal("contended run never exhausted the zero conflict budget")
 	}
@@ -191,7 +191,7 @@ func TestAdaptiveAbortBound(t *testing.T) {
 		Forfeit: [NumAbortClasses]int{2, 2, 2, 2},
 	}
 	bound := cfg.MaxAborts()
-	for _, mode := range []AdaptiveMode{AdaptiveOverHLE, AdaptiveOverSLR} {
+	for _, mode := range []Mode{OverHLE, OverSLR} {
 		_, outs := adaptiveRig(t, mode, cfg, 4, 50)
 		for _, o := range outs {
 			if o.Aborts > bound {
@@ -216,8 +216,8 @@ func TestBuildAdaptiveSchemes(t *testing.T) {
 		if s.Name() != want {
 			t.Fatalf("BuildScheme(%s).Name() = %q", name, s.Name())
 		}
-		a := s.(*Adaptive)
-		if a.Config() != DefaultAdaptiveConfig() {
+		a := s.(*Engine)
+		if !a.Adaptive() || a.Config() != DefaultAdaptiveConfig() {
 			t.Fatalf("factory-built adaptive does not carry the default config")
 		}
 		if err := a.SetConfig(AdaptiveConfig{}); err == nil {
@@ -226,5 +226,9 @@ func TestBuildAdaptiveSchemes(t *testing.T) {
 	}
 	if !AdaptiveSchemeName(SchemeNameAdaptiveHLE) || AdaptiveSchemeName(SchemeNameOptSLR) {
 		t.Fatal("AdaptiveSchemeName misclassifies")
+	}
+	fixed := NewSLR(hm, l)
+	if fixed.Adaptive() || fixed.SetConfig(DefaultAdaptiveConfig()) == nil {
+		t.Fatal("a fixed-budget preset accepted an adaptive config")
 	}
 }

@@ -1,20 +1,31 @@
 // Package core implements the paper's contribution: execution schemes that
 // run lock-based critical sections over the simulated HTM.
 //
-// Six schemes are provided, matching §7's methodology:
+// One Engine runs every scheme. Its Critical loop is parameterized by three
+// axes: the attempt kind (how a transaction treats the lock), the conflict
+// manager (whether aborted threads serialize on auxiliary locks), and the
+// retry policy (when to stop speculating and take the lock). Each factory
+// name is a preset on those axes:
 //
-//	Standard    — plain non-speculative locking.
-//	HLE         — hardware lock elision as-is (Figure 1 dynamics): an abort
-//	              re-executes the XACQUIRE instruction non-transactionally.
-//	HLE-retries — Intel's recommendation: retry speculatively N times before
-//	              acquiring the lock non-speculatively.
-//	SLR         — software-assisted lock removal (Figure 5): transactions
-//	              never touch the lock until commit time, where they read it
-//	              and self-abort if it is held. Sacrifices opacity.
-//	HLE-SCM     — software-assisted conflict management (Figure 7) over an
-//	              HLE-style attempt: aborted threads serialize on an
-//	              auxiliary lock and rejoin the speculative run.
-//	SLR-SCM     — SCM over SLR attempts.
+//	standard        — plain non-speculative locking.
+//	hle             — hardware lock elision as-is (Figure 1 dynamics): an
+//	                  abort re-executes the XACQUIRE instruction
+//	                  non-transactionally.
+//	hle-retries     — Intel's recommendation: retry speculatively N times
+//	                  before acquiring the lock non-speculatively.
+//	opt-slr         — software-assisted lock removal (Figure 5): transactions
+//	                  never touch the lock until commit time, where they read
+//	                  it and self-abort if it is held. Sacrifices opacity.
+//	hle-scm         — software-assisted conflict management (Figure 7) over
+//	                  an HLE-style attempt: aborted threads serialize on an
+//	                  auxiliary lock and rejoin the speculative run.
+//	slr-scm         — SCM over SLR attempts.
+//	*-scm-grouped   — SCM with auxiliary locks picked by conflict line (§6
+//	                  Remark, §8).
+//	adaptive-hle/slr — ck_elide-style per-abort-class budgets and forfeit
+//	                  windows (AdaptiveConfig).
+//	lazysub         — the deliberately unsafe lazy-subscription adversary:
+//	                  opt-slr with its lock check escaped.
 //
 // A Scheme's Critical runs one critical section; the body receives an
 // htm.Ctx whose loads and stores are transactional on the speculative path
@@ -31,7 +42,6 @@ package core
 
 import (
 	"elision/internal/htm"
-	"elision/internal/locks"
 	"elision/internal/sim"
 )
 
@@ -121,337 +131,4 @@ func (s *NoLock) Name() string { return "nolock" }
 func (s *NoLock) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 	body(ctx(s.m, p))
 	return Outcome{Speculative: false, Attempts: 1}
-}
-
-// --- Standard ---------------------------------------------------------------
-
-// Standard takes the lock non-speculatively around every critical section.
-type Standard struct {
-	m *htm.Memory
-	l locks.Lock
-}
-
-var _ Scheme = (*Standard)(nil)
-
-// NewStandard returns the plain locking scheme.
-func NewStandard(m *htm.Memory, l locks.Lock) *Standard {
-	return &Standard{m: m, l: l}
-}
-
-// Name implements Scheme.
-func (s *Standard) Name() string { return "standard" }
-
-// Critical implements Scheme.
-func (s *Standard) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
-	s.m.TraceLockWait(p)
-	s.l.Lock(p)
-	s.m.TraceLock(p)
-	body(ctx(s.m, p))
-	s.l.Unlock(p)
-	s.m.TraceUnlock(p)
-	return Outcome{Speculative: false, Attempts: 1}
-}
-
-// --- HLE --------------------------------------------------------------------
-
-// HLE elides the lock with XACQUIRE/XRELEASE semantics. With SpecRetries=0
-// it reproduces raw hardware behaviour: an abort re-executes the acquiring
-// instruction non-transactionally (for TTAS a single TAS that may fail and
-// lead back to speculation; for fair locks an irrevocable enqueue — the
-// lemming effect). With SpecRetries=N it implements Intel's recommended
-// retry policy ("HLE-retries").
-type HLE struct {
-	m           *htm.Memory
-	l           locks.Elidable
-	SpecRetries int
-}
-
-var _ Scheme = (*HLE)(nil)
-
-// NewHLE returns raw hardware lock elision over l.
-func NewHLE(m *htm.Memory, l locks.Elidable) *HLE {
-	return &HLE{m: m, l: l}
-}
-
-// NewHLERetries returns Intel's recommended retry policy: only acquire the
-// lock non-speculatively after retries failed speculative attempts.
-func NewHLERetries(m *htm.Memory, l locks.Elidable, retries int) *HLE {
-	return &HLE{m: m, l: l, SpecRetries: retries}
-}
-
-// Name implements Scheme.
-func (s *HLE) Name() string {
-	if s.SpecRetries > 0 {
-		return "hle-retries"
-	}
-	return "hle"
-}
-
-// attempt runs one speculative HLE execution of the body.
-func (s *HLE) attempt(p *sim.Proc, body func(c htm.Ctx)) htm.Status {
-	return s.m.Atomic(p, func(tx *htm.Tx) {
-		ok, wait := s.l.SpecAcquire(tx)
-		if !ok {
-			if s.SpecRetries > 0 {
-				// Retry policy: a busy lock means this attempt cannot
-				// commit; abort now and burn the retry. This is why naive
-				// retrying fails to rescue fair locks — during one
-				// serialization burst the whole budget evaporates and the
-				// thread joins the queue anyway (§7.1).
-				tx.Abort(CodeLockBusy)
-			}
-			// Raw HLE: spin on the lock transactionally until the
-			// coherency abort arrives (Figure 1 dynamics).
-			tx.Wait(wait)
-		}
-		body(ctx(s.m, p))
-		s.l.SpecRelease(tx)
-	})
-}
-
-// Critical implements Scheme.
-func (s *HLE) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
-	var o Outcome
-	specTries := 0
-	_, isTTAS := s.l.(*locks.TTAS)
-	for {
-		// Only TTAS tests-and-waits before issuing XACQUIRE (Figure 1's
-		// outer loop); queue locks issue their XACQUIRE RMW immediately, so
-		// a retry against an occupied queue burns a speculative attempt —
-		// which is why naive retrying fails to rescue fair locks (§7.1).
-		if isTTAS {
-			s.l.WaitUntilFree(p)
-		}
-		o.Attempts++
-		st := s.attempt(p, body)
-		if st.Committed {
-			o.Speculative = true
-			return o
-		}
-		o.Aborts++
-		o.LastCause = st.Cause
-		if specTries < s.SpecRetries && st.Retry {
-			// Intel's recommended fallback only retries when the abort
-			// status' retry hint is set; capacity/eviction aborts go
-			// straight to the lock.
-			specTries++
-			continue
-		}
-		if s.SpecRetries == 0 {
-			// Raw HLE: the hardware re-executes the XACQUIRE instruction
-			// non-transactionally.
-			o.Attempts++
-			s.m.TraceLockWait(p)
-			if s.l.AcquireNT(p) {
-				s.m.TraceLock(p)
-				body(ctx(s.m, p))
-				s.l.Unlock(p)
-				s.m.TraceUnlock(p)
-				return o
-			}
-			// TTAS only: the re-executed TAS observed the lock held; spin
-			// and re-enter speculation (Figure 1's software loop).
-			continue
-		}
-		// Retry budget exhausted: blocking non-speculative acquisition.
-		o.Attempts++
-		s.m.TraceLockWait(p)
-		s.l.Lock(p)
-		s.m.TraceLock(p)
-		body(ctx(s.m, p))
-		s.l.Unlock(p)
-		s.m.TraceUnlock(p)
-		return o
-	}
-}
-
-// --- SLR --------------------------------------------------------------------
-
-// SLR is software-assisted lock removal (Figure 5): the critical section
-// runs as a transaction that never touches the lock; at the end it reads the
-// lock and self-aborts if held, guaranteeing no inconsistent state commits.
-// After MaxRetries failed attempts (or a non-retryable abort status, §7's
-// tuning) the thread acquires the lock non-speculatively.
-type SLR struct {
-	m          *htm.Memory
-	l          locks.Lock
-	MaxRetries int
-}
-
-var _ Scheme = (*SLR)(nil)
-
-// NewSLR returns the optimistic SLR scheme over any lock.
-func NewSLR(m *htm.Memory, l locks.Lock) *SLR {
-	return &SLR{m: m, l: l, MaxRetries: DefaultMaxRetries}
-}
-
-// Name implements Scheme.
-func (s *SLR) Name() string { return "opt-slr" }
-
-// Critical implements Scheme.
-func (s *SLR) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
-	var o Outcome
-	for tries := 0; tries < s.MaxRetries; tries++ {
-		o.Attempts++
-		st := s.m.Atomic(p, func(tx *htm.Tx) {
-			body(ctx(s.m, p))
-			if s.l.HeldTx(tx) {
-				tx.Abort(CodeSLRLockHeld)
-			}
-		})
-		if st.Committed {
-			o.Speculative = true
-			return o
-		}
-		o.Aborts++
-		o.LastCause = st.Cause
-		if !st.Retry {
-			break // capacity etc.: retrying cannot succeed
-		}
-		if st.Cause == htm.CauseExplicit && st.Code == CodeSLRLockHeld {
-			// A non-speculative thread holds the lock; wait for it to leave
-			// rather than burn attempts that must fail the commit check.
-			s.l.WaitUntilFree(p)
-		}
-	}
-	o.Attempts++
-	s.m.TraceLockWait(p)
-	s.l.Lock(p)
-	s.m.TraceLock(p)
-	body(ctx(s.m, p))
-	s.l.Unlock(p)
-	s.m.TraceUnlock(p)
-	return o
-}
-
-// --- SCM --------------------------------------------------------------------
-
-// SCMMode selects the speculative attempt SCM wraps.
-type SCMMode int8
-
-// SCM modes.
-const (
-	// SCMOverHLE keeps HLE semantics and opacity: the main lock is read at
-	// transaction start and the attempt aborts if it is held (§6's
-	// RTM-based implementation, since Haswell cannot nest HLE in RTM).
-	SCMOverHLE SCMMode = iota + 1
-	// SCMOverSLR wraps SLR attempts: the lock is checked only at commit.
-	SCMOverSLR
-)
-
-// SCM is software-assisted conflict management (Figure 7): an aborted
-// thread acquires a distinct auxiliary lock non-transactionally and then
-// rejoins the speculative execution, so conflicting threads serialize among
-// themselves without disturbing non-conflicting speculators. The
-// auxiliary-lock holder falls back to the main lock only after MaxRetries
-// failed speculative attempts, preserving progress; with a fair auxiliary
-// lock the scheme inherits starvation freedom.
-type SCM struct {
-	m          *htm.Memory
-	main       locks.Lock
-	aux        locks.Lock
-	mode       SCMMode
-	MaxRetries int
-}
-
-var _ Scheme = (*SCM)(nil)
-
-// NewSCM builds an SCM scheme over the main lock. aux should be a fair lock
-// (the paper uses MCS) so the scheme inherits its fairness.
-func NewSCM(m *htm.Memory, main, aux locks.Lock, mode SCMMode) *SCM {
-	return &SCM{m: m, main: main, aux: aux, mode: mode, MaxRetries: DefaultMaxRetries}
-}
-
-// Name implements Scheme.
-func (s *SCM) Name() string {
-	if s.mode == SCMOverSLR {
-		return "slr-scm"
-	}
-	return "hle-scm"
-}
-
-// attempt runs one speculative execution under the chosen inner mode.
-func (s *SCM) attempt(p *sim.Proc, body func(c htm.Ctx)) htm.Status {
-	return s.m.Atomic(p, func(tx *htm.Tx) {
-		if s.mode == SCMOverHLE {
-			if s.main.HeldTx(tx) {
-				tx.Abort(CodeNonSpecRun)
-			}
-			body(ctx(s.m, p))
-			return
-		}
-		body(ctx(s.m, p))
-		if s.main.HeldTx(tx) {
-			tx.Abort(CodeSLRLockHeld)
-		}
-	})
-}
-
-// Critical implements Scheme.
-func (s *SCM) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
-	var o Outcome
-	auxOwner := false
-	var auxStart uint64
-	retries := 0
-	for {
-		if s.mode == SCMOverHLE {
-			// An HLE-style attempt is doomed while the main lock is held;
-			// don't waste a transaction on it (§7's conflict-management
-			// tuning: HLE is highly sensitive to the lock being taken).
-			s.main.WaitUntilFree(p)
-		}
-		o.Attempts++
-		st := s.attempt(p, body)
-		if st.Committed {
-			o.Speculative = true
-			break
-		}
-		o.Aborts++
-		o.LastCause = st.Cause
-		// Serializing path (Figure 7, lines 17-26): acquire the auxiliary
-		// lock on the first failure; count retries while holding it.
-		if !auxOwner {
-			s.m.TraceAuxWait(p)
-			s.aux.Lock(p)
-			auxOwner = true
-			auxStart = p.Clock()
-			s.m.TraceAuxLock(p)
-			o.AuxUsed = true
-		} else {
-			retries++
-		}
-		if retries >= s.MaxRetries {
-			o.Attempts++
-			s.m.TraceLockWait(p)
-			s.main.Lock(p)
-			s.m.TraceLock(p)
-			body(ctx(s.m, p))
-			s.main.Unlock(p)
-			s.m.TraceUnlock(p)
-			break
-		}
-		if s.mode == SCMOverSLR {
-			if !st.Retry {
-				// SLR tuning (§7): the abort status says retrying is
-				// unlikely to succeed; switch to the main lock now.
-				o.Attempts++
-				s.m.TraceLockWait(p)
-				s.main.Lock(p)
-				s.m.TraceLock(p)
-				body(ctx(s.m, p))
-				s.main.Unlock(p)
-				s.m.TraceUnlock(p)
-				break
-			}
-			if st.Cause == htm.CauseExplicit && st.Code == CodeSLRLockHeld {
-				s.main.WaitUntilFree(p)
-			}
-		}
-	}
-	if auxOwner {
-		s.aux.Unlock(p)
-		o.AuxDwell = p.Clock() - auxStart
-		s.m.TraceAuxUnlock(p)
-	}
-	return o
 }

@@ -57,9 +57,9 @@ func newRig(t *testing.T, procs int, lockName string, seed uint64) *rig {
 			"standard":    NewStandard(hm, l),
 			"hle":         NewHLE(hm, l),
 			"hle-retries": NewHLERetries(hm, l, DefaultMaxRetries),
-			"hle-scm":     NewSCM(hm, l, aux1, SCMOverHLE),
+			"hle-scm":     NewSCM(hm, l, aux1, OverHLE),
 			"opt-slr":     NewSLR(hm, l),
-			"slr-scm":     NewSCM(hm, l, aux2, SCMOverSLR),
+			"slr-scm":     NewSCM(hm, l, aux2, OverSLR),
 		},
 	}
 }
@@ -201,7 +201,7 @@ func TestLemmingEffect(t *testing.T) {
 func TestSLRCommitsAlongsideLockHolder(t *testing.T) {
 	const procs = 2
 	r := newRig(t, procs, "ttas", 5)
-	s := r.schemes["opt-slr"].(*SLR)
+	s := r.schemes["opt-slr"].(*Engine)
 	a := r.hm.Store().AllocLines(1) // holder's data
 	b := r.hm.Store().AllocLines(1) // speculator's data
 	var spec Outcome
@@ -324,6 +324,11 @@ func TestSchemeNames(t *testing.T) {
 	}
 	if got := NewNoLock(r.hm).Name(); got != "nolock" {
 		t.Errorf("NoLock.Name() = %q", got)
+	}
+	for _, name := range SchemeNames() {
+		if s, err := BuildScheme(r.hm, name, r.lock, 2); err != nil || s.Name() != name {
+			t.Errorf("BuildScheme(%s) = %v, %v", name, s, err)
+		}
 	}
 }
 

@@ -29,12 +29,12 @@ const (
 	SchemeNameSLRSCMGrouped = "slr-scm-grouped"
 	// Adaptive family (ck_elide-style per-abort-class budgets and forfeit
 	// windows); built with DefaultAdaptiveConfig, tuned via
-	// (*Adaptive).SetConfig.
+	// (*Engine).SetConfig.
 	SchemeNameAdaptiveHLE = "adaptive-hle"
 	SchemeNameAdaptiveSLR = "adaptive-slr"
 	// LazySub: the deliberately unsafe lazy-subscription adversary
 	// (commit-time lock check through a non-transactional escape; see
-	// lazysub.go). Kept out of the benchmark roster's §7 ordering — it
+	// NewLazySub). Kept out of the benchmark roster's §7 ordering — it
 	// exists to be broken by the modelcheck expected-fail campaign and
 	// repaired by htm's AbortOnDangerousWhileUnsubscribed.
 	SchemeNameLazySub = "lazysub"
@@ -49,53 +49,88 @@ func AdaptiveSchemeName(name string) bool {
 // grouped-SCM schemes.
 const GroupedSCMGroups = 8
 
-// BuildLock constructs a lock by name over the given memory.
-func BuildLock(hm *htm.Memory, name string, procs int) (locks.Elidable, error) {
-	switch name {
-	case LockNameTTAS:
-		return locks.NewTTAS(hm), nil
-	case LockNameTTASBackoff:
-		return locks.NewBackoffTTAS(hm), nil
-	case LockNameMCS:
-		return locks.NewMCS(hm, procs), nil
-	case LockNameTicketHLE:
-		return locks.NewTicketHLE(hm, procs), nil
-	case LockNameCLHHLE:
-		return locks.NewCLHHLE(hm, procs), nil
-	default:
-		return nil, fmt.Errorf("core: unknown lock %q", name)
-	}
+// lockRoster maps every lock name BuildLock accepts, in roster order, to
+// its constructor.
+var lockRoster = []struct {
+	name  string
+	build func(hm *htm.Memory, procs int) locks.Elidable
+}{
+	{LockNameTTAS, func(hm *htm.Memory, _ int) locks.Elidable { return locks.NewTTAS(hm) }},
+	{LockNameTTASBackoff, func(hm *htm.Memory, _ int) locks.Elidable { return locks.NewBackoffTTAS(hm) }},
+	{LockNameMCS, func(hm *htm.Memory, procs int) locks.Elidable { return locks.NewMCS(hm, procs) }},
+	{LockNameTicketHLE, func(hm *htm.Memory, procs int) locks.Elidable { return locks.NewTicketHLE(hm, procs) }},
+	{LockNameCLHHLE, func(hm *htm.Memory, procs int) locks.Elidable { return locks.NewCLHHLE(hm, procs) }},
 }
 
-// BuildScheme constructs a scheme by name over the given lock. SCM schemes
-// get a fair MCS auxiliary lock, as in the paper's evaluation.
-func BuildScheme(hm *htm.Memory, name string, l locks.Elidable, procs int) (Scheme, error) {
-	switch name {
-	case SchemeNameNoLock:
-		return NewNoLock(hm), nil
-	case SchemeNameStandard:
-		return NewStandard(hm, l), nil
-	case SchemeNameHLE:
-		return NewHLE(hm, l), nil
-	case SchemeNameHLERetries:
-		return NewHLERetries(hm, l, DefaultMaxRetries), nil
-	case SchemeNameHLESCM:
-		return NewSCM(hm, l, locks.NewMCS(hm, procs), SCMOverHLE), nil
-	case SchemeNameOptSLR:
-		return NewSLR(hm, l), nil
-	case SchemeNameSLRSCM:
-		return NewSCM(hm, l, locks.NewMCS(hm, procs), SCMOverSLR), nil
-	case SchemeNameHLESCMGrouped:
-		return NewGroupedSCM(hm, l, SCMOverHLE, GroupedSCMGroups, procs), nil
-	case SchemeNameSLRSCMGrouped:
-		return NewGroupedSCM(hm, l, SCMOverSLR, GroupedSCMGroups, procs), nil
-	case SchemeNameAdaptiveHLE:
-		return NewAdaptive(hm, l, AdaptiveOverHLE, procs), nil
-	case SchemeNameAdaptiveSLR:
-		return NewAdaptive(hm, l, AdaptiveOverSLR, procs), nil
-	case SchemeNameLazySub:
-		return NewLazySub(hm, l), nil
-	default:
-		return nil, fmt.Errorf("core: unknown scheme %q", name)
+// schemeRoster maps every scheme name BuildScheme accepts, in roster order,
+// to its preset. SCM presets get fair MCS auxiliary locks, as in the
+// paper's evaluation.
+var schemeRoster = []struct {
+	name  string
+	build func(hm *htm.Memory, l locks.Elidable, procs int) Scheme
+}{
+	{SchemeNameNoLock, func(hm *htm.Memory, _ locks.Elidable, _ int) Scheme { return NewNoLock(hm) }},
+	{SchemeNameStandard, func(hm *htm.Memory, l locks.Elidable, _ int) Scheme { return NewStandard(hm, l) }},
+	{SchemeNameHLE, func(hm *htm.Memory, l locks.Elidable, _ int) Scheme { return NewHLE(hm, l) }},
+	{SchemeNameHLERetries, func(hm *htm.Memory, l locks.Elidable, _ int) Scheme {
+		return NewHLERetries(hm, l, DefaultMaxRetries)
+	}},
+	{SchemeNameHLESCM, func(hm *htm.Memory, l locks.Elidable, procs int) Scheme {
+		return NewSCM(hm, l, locks.NewMCS(hm, procs), OverHLE)
+	}},
+	{SchemeNameOptSLR, func(hm *htm.Memory, l locks.Elidable, _ int) Scheme { return NewSLR(hm, l) }},
+	{SchemeNameSLRSCM, func(hm *htm.Memory, l locks.Elidable, procs int) Scheme {
+		return NewSCM(hm, l, locks.NewMCS(hm, procs), OverSLR)
+	}},
+	{SchemeNameHLESCMGrouped, func(hm *htm.Memory, l locks.Elidable, procs int) Scheme {
+		return NewGroupedSCM(hm, l, OverHLE, GroupedSCMGroups, procs)
+	}},
+	{SchemeNameSLRSCMGrouped, func(hm *htm.Memory, l locks.Elidable, procs int) Scheme {
+		return NewGroupedSCM(hm, l, OverSLR, GroupedSCMGroups, procs)
+	}},
+	{SchemeNameAdaptiveHLE, func(hm *htm.Memory, l locks.Elidable, procs int) Scheme {
+		return NewAdaptive(hm, l, OverHLE, procs)
+	}},
+	{SchemeNameAdaptiveSLR, func(hm *htm.Memory, l locks.Elidable, procs int) Scheme {
+		return NewAdaptive(hm, l, OverSLR, procs)
+	}},
+	{SchemeNameLazySub, func(hm *htm.Memory, l locks.Elidable, _ int) Scheme { return NewLazySub(hm, l) }},
+}
+
+// SchemeNames lists every name BuildScheme accepts, in roster order.
+func SchemeNames() []string {
+	names := make([]string, len(schemeRoster))
+	for i, r := range schemeRoster {
+		names[i] = r.name
 	}
+	return names
+}
+
+// LockNames lists every name BuildLock accepts, in roster order.
+func LockNames() []string {
+	names := make([]string, len(lockRoster))
+	for i, r := range lockRoster {
+		names[i] = r.name
+	}
+	return names
+}
+
+// BuildLock constructs a lock by name over the given memory.
+func BuildLock(hm *htm.Memory, name string, procs int) (locks.Elidable, error) {
+	for _, r := range lockRoster {
+		if r.name == name {
+			return r.build(hm, procs), nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown lock %q", name)
+}
+
+// BuildScheme constructs a scheme by name over the given lock.
+func BuildScheme(hm *htm.Memory, name string, l locks.Elidable, procs int) (Scheme, error) {
+	for _, r := range schemeRoster {
+		if r.name == name {
+			return r.build(hm, l, procs), nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown scheme %q", name)
 }

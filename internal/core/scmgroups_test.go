@@ -9,7 +9,7 @@ import (
 	"elision/internal/sim"
 )
 
-func newGroupedRig(t *testing.T, procs, groups int, mode SCMMode, seed uint64) (*sim.Machine, *htm.Memory, *GroupedSCM) {
+func newGroupedRig(t *testing.T, procs, groups int, mode Mode, seed uint64) (*sim.Machine, *htm.Memory, *Engine) {
 	t.Helper()
 	m := sim.MustNew(sim.Config{Procs: procs, Seed: seed})
 	hm := htm.NewMemory(m, htm.Config{Words: 1 << 18, Cost: testCost()})
@@ -19,9 +19,9 @@ func newGroupedRig(t *testing.T, procs, groups int, mode SCMMode, seed uint64) (
 
 // TestGroupedSCMCorrectness: exact counting under heavy conflict, both modes.
 func TestGroupedSCMCorrectness(t *testing.T) {
-	for _, mode := range []SCMMode{SCMOverHLE, SCMOverSLR} {
+	for _, mode := range []Mode{OverHLE, OverSLR} {
 		mode := mode
-		t.Run(map[SCMMode]string{SCMOverHLE: "hle", SCMOverSLR: "slr"}[mode], func(t *testing.T) {
+		t.Run(map[Mode]string{OverHLE: "hle", OverSLR: "slr"}[mode], func(t *testing.T) {
 			const procs, iters = 8, 30
 			m, hm, s := newGroupedRig(t, procs, 4, mode, 21)
 			ctr := hm.Store().AllocLines(1)
@@ -59,9 +59,9 @@ func TestGroupedSCMIndependentCommunities(t *testing.T) {
 		main := locks.NewTTAS(hm)
 		var s Scheme
 		if grouped {
-			s = NewGroupedSCM(hm, main, SCMOverHLE, 8, procs)
+			s = NewGroupedSCM(hm, main, OverHLE, 8, procs)
 		} else {
-			s = NewSCM(hm, main, locks.NewMCS(hm, procs), SCMOverHLE)
+			s = NewSCM(hm, main, locks.NewMCS(hm, procs), OverHLE)
 		}
 		lines := hm.Store().AllocLines(2)
 		a := lines
@@ -149,7 +149,7 @@ func TestNonConflictStatusHasNoLocation(t *testing.T) {
 // correct (it degenerates to plain SCM's serialization).
 func TestGroupedSCMSingleGroup(t *testing.T) {
 	const procs, iters = 4, 25
-	m, hm, s := newGroupedRig(t, procs, 1, SCMOverSLR, 9)
+	m, hm, s := newGroupedRig(t, procs, 1, OverSLR, 9)
 	ctr := hm.Store().AllocLines(1)
 	for i := 0; i < procs; i++ {
 		m.Go(func(p *sim.Proc) {

@@ -54,7 +54,7 @@ const (
 	SchemeAdaptiveHLE SchemeID = "adaptive-hle"
 	SchemeAdaptiveSLR SchemeID = "adaptive-slr"
 	// SchemeLazySub is the deliberately unsafe lazy-subscription scheme
-	// (core.LazySub): SLR with an escaped, non-subscribing commit-time lock
+	// (core.NewLazySub): SLR with an escaped, non-subscribing commit-time lock
 	// check. It exists as the modelcheck adversary and is excluded from
 	// AllSchemes (figures measure correct schemes); pair it with
 	// DSConfig.HWFix to benchmark the hardware fix's cost.

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"elision/internal/core"
 )
 
 func TestRunDataStructureDeterministic(t *testing.T) {
@@ -174,5 +176,27 @@ func TestMixNames(t *testing.T) {
 func TestThroughputZeroCycles(t *testing.T) {
 	if (Result{}).Throughput() != 0 {
 		t.Fatal("Throughput on empty result must be 0")
+	}
+}
+
+// TestRawHLEOverBackoffTTASMatchesTTAS: BackoffTTAS speaks TTAS's lock-word
+// protocol and differs only in Lock, which raw HLE never calls (its fallback
+// is the re-executed TAS). So raw HLE must test-and-wait before each
+// XACQUIRE over both locks, and the two runs must agree exactly.
+func TestRawHLEOverBackoffTTASMatchesTTAS(t *testing.T) {
+	for _, cfg := range []DSConfig{
+		{Structure: StructTree, Threads: 8, Size: 8, Mix: MixExtensive, BudgetCycles: 150_000, Seed: 11, Quantum: 128},
+		{Structure: StructTree, Threads: 8, Size: 64, Mix: MixModerate, BudgetCycles: 150_000, Seed: 3, Quantum: 128, Cores: 4},
+		{Structure: StructHash, Threads: 4, Size: 32, Mix: MixExtensive, BudgetCycles: 100_000, Seed: 5, Quantum: 64},
+	} {
+		cfg.Scheme = SchemeHLE
+		cfg.Lock = LockTTAS
+		want := RunDataStructure(cfg)
+		cfg.Lock = core.LockNameTTASBackoff
+		got := RunDataStructure(cfg)
+		if got.Stats != want.Stats || got.Cycles != want.Cycles {
+			t.Errorf("%s size %d cores %d: ttas-backoff %+v in %d cycles, ttas %+v in %d cycles",
+				cfg.Structure, cfg.Size, cfg.Cores, got.Stats, got.Cycles, want.Stats, want.Cycles)
+		}
 	}
 }

@@ -222,15 +222,15 @@ func (in *Instance) RunObserved(cfg DSConfig, col *obs.Collector, tr *trace.Trac
 	l := buildLock(hm, cfg.Lock, cfg.Threads)
 	inner := buildScheme(hm, cfg.Scheme, l, cfg.Threads)
 	if cfg.ACfg != "" {
-		a, ok := inner.(*core.Adaptive)
-		if !ok {
+		e, ok := inner.(*core.Engine)
+		if !ok || !e.Adaptive() {
 			panic(fmt.Sprintf("harness: ACfg %q set on non-adaptive scheme %s", cfg.ACfg, cfg.Scheme))
 		}
 		acfg, err := core.ParseAdaptiveConfig(cfg.ACfg)
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v (config %+v)", err, cfg))
 		}
-		if err := a.SetConfig(acfg); err != nil {
+		if err := e.SetConfig(acfg); err != nil {
 			panic(fmt.Sprintf("harness: %v (config %+v)", err, cfg))
 		}
 	}

@@ -65,3 +65,15 @@ type Elidable interface {
 	// the fair-lock lemming effect (§4).
 	AcquireNT(p *sim.Proc) bool
 }
+
+// TTASProtocol reports whether l follows Figure 1's test-and-test-and-set
+// lock-word protocol: a thread tests the word and waits for it to clear
+// before issuing its (possibly elided) test-and-set, and AcquireNT is one
+// TAS that can fail.
+func TTASProtocol(l Lock) bool {
+	switch l.(type) {
+	case *TTAS, *BackoffTTAS:
+		return true
+	}
+	return false
+}

@@ -71,29 +71,21 @@ func factoryBuilder(hm *htm.Memory, c Case) (core.Scheme, locks.Elidable, error)
 }
 
 // applyMaxRetries pushes the case's retry policy into the built scheme.
-// Raw HLE (SpecRetries == 0) keeps its semantics: its retry loop is the
-// hardware re-execution, not a budgeted policy. Adaptive schemes ignore the
-// flat MaxRetries and take the case's ACfg instead (validated by RunWith
-// before the build).
+// Presets without a fixed budget (standard, raw HLE, adaptive) ignore
+// MaxRetries; adaptive schemes take the case's ACfg instead (validated by
+// RunWith before the build).
 func applyMaxRetries(s core.Scheme, c Case) {
-	switch v := s.(type) {
-	case *core.HLE:
-		if v.SpecRetries > 0 {
-			v.SpecRetries = c.MaxRetries
-		}
-	case *core.SLR:
-		v.MaxRetries = c.MaxRetries
-	case *core.LazySub:
-		v.MaxRetries = c.MaxRetries
-	case *core.SCM:
-		v.MaxRetries = c.MaxRetries
-	case *core.GroupedSCM:
-		v.MaxRetries = c.MaxRetries
-	case *core.Adaptive:
-		if cfg, err := core.ParseAdaptiveConfig(c.ACfg); err == nil {
-			if serr := v.SetConfig(cfg); serr != nil {
-				panic(serr) // unreachable: ParseAdaptiveConfig validates
-			}
+	e, ok := s.(*core.Engine)
+	if !ok {
+		return
+	}
+	e.MaxRetries = c.MaxRetries
+	if !e.Adaptive() {
+		return
+	}
+	if cfg, err := core.ParseAdaptiveConfig(c.ACfg); err == nil {
+		if serr := e.SetConfig(cfg); serr != nil {
+			panic(serr) // unreachable: ParseAdaptiveConfig validates
 		}
 	}
 }

@@ -170,10 +170,10 @@ func TestConcurrentSchemes(t *testing.T) {
 		},
 		"slr-ttas": func(hm *htm.Memory) core.Scheme { return core.NewSLR(hm, locks.NewTTAS(hm)) },
 		"hle-scm-mcs": func(hm *htm.Memory) core.Scheme {
-			return core.NewSCM(hm, locks.NewMCS(hm, procs), locks.NewMCS(hm, procs), core.SCMOverHLE)
+			return core.NewSCM(hm, locks.NewMCS(hm, procs), locks.NewMCS(hm, procs), core.OverHLE)
 		},
 		"slr-scm-ttas": func(hm *htm.Memory) core.Scheme {
-			return core.NewSCM(hm, locks.NewTTAS(hm), locks.NewMCS(hm, procs), core.SCMOverSLR)
+			return core.NewSCM(hm, locks.NewTTAS(hm), locks.NewMCS(hm, procs), core.OverSLR)
 		},
 	}
 	for name, mkScheme := range cases {
