@@ -224,7 +224,7 @@ func writeTrace(path string, tr *trace.Tracer, eng *causality.Engine) error {
 	defer f.Close()
 	causeName := func(arg int64) string { return htm.Cause(arg).String() }
 	if eng != nil {
-		return obs.WriteChromeTraceFlows(f, tr.Events(), causeName, eng.FlowEvents())
+		return trace.WriteChromeTraceFlows(f, tr.Events(), causeName, eng.FlowEvents())
 	}
-	return obs.WriteChromeTrace(f, tr.Events(), causeName)
+	return trace.WriteChromeTrace(f, tr.Events(), causeName)
 }

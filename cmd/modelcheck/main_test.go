@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -51,7 +53,18 @@ func TestQuickGate(t *testing.T) {
 			t.Errorf("mutant %s escaped under the quick gate", mr.Name)
 		}
 	}
+	// The quick campaign's JSON is pinned byte for byte: every run feeds the
+	// oracles through the event stream, so a moved, dropped or reordered
+	// event shows here even when the verdict holds. Re-pin only for a
+	// deliberate change to the campaign or its oracles.
+	sumHash := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sumHash[:])[:16]; got != quickCampaignDigest {
+		t.Errorf("quick campaign JSON digest = %s, want %s", got, quickCampaignDigest)
+	}
 }
+
+// quickCampaignDigest pins `modelcheck -quick -json`'s output.
+const quickCampaignDigest = "58901ac8b2497026"
 
 func TestFlagValidation(t *testing.T) {
 	var out bytes.Buffer

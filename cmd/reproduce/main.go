@@ -23,6 +23,7 @@ import (
 	"elision/internal/obs"
 	"elision/internal/obs/causality"
 	"elision/internal/obs/rollup"
+	"elision/internal/trace"
 )
 
 func main() {
@@ -224,7 +225,14 @@ func run(args []string, stdout io.Writer) error {
 // trace-event JSON with cascade flow arrows.
 func observeLemming(sc harness.Scale, traceJSON, metricsOut string, hotN int) error {
 	fmt.Fprintln(os.Stderr, "== observe (§4 lemming point: hle over mcs) ==")
-	res, col, tr, eng := harness.CausalRun(sc.Section4Config(harness.SchemeHLE, harness.LockMCS), causality.Config{})
+	cfg := sc.Section4Config(harness.SchemeHLE, harness.LockMCS)
+	col := obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), cfg.BudgetCycles/20)
+	eng := causality.Attach(col, causality.Config{})
+	var tr *trace.Tracer
+	if traceJSON != "" {
+		tr = trace.New(0)
+	}
+	res := harness.RunDataStructureObserved(cfg, col, tr)
 	fmt.Fprintf(os.Stderr, "   %s\n", eng.Report().Verdict("hle", "mcs"))
 	annotate := func(line int) string {
 		if res.HasLockLine(line) {
@@ -257,7 +265,7 @@ func observeLemming(sc harness.Scale, traceJSON, metricsOut string, hotN int) er
 			return err
 		}
 		defer f.Close()
-		if err := obs.WriteChromeTraceFlows(f, tr.Events(), func(arg int64) string {
+		if err := trace.WriteChromeTraceFlows(f, tr.Events(), func(arg int64) string {
 			return htm.Cause(arg).String()
 		}, eng.FlowEvents()); err != nil {
 			return err

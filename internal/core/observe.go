@@ -7,14 +7,18 @@ import (
 )
 
 // Observed decorates a Scheme, feeding each completed critical section to a
-// metrics collector: per-outcome latency split spec/non-spec, retries per
-// op, and the SCM serializing path's auxiliary-lock dwell time. The
-// transactional layer's metrics (commits, aborts by cause, set sizes, hot
+// metrics collector as one obs.KindOp event: per-outcome latency split
+// spec/non-spec, retries per op, the SCM serializing path's auxiliary-lock
+// dwell time and the adaptive-policy facets. The event seals the section's
+// attempt chain for the collector's sinks (flight recorder). The
+// transactional layer's events (commits, aborts by cause, set sizes, hot
 // lines) flow through the Memory's collector independently; together they
 // give §4's accounting in time-resolved form.
 type Observed struct {
 	inner Scheme
 	col   *obs.Collector
+	// ev is the event being emitted, kept here so emitting never allocates.
+	ev obs.Event
 }
 
 var _ Scheme = (*Observed)(nil)
@@ -35,21 +39,15 @@ func (s *Observed) Name() string { return s.inner.Name() }
 func (s *Observed) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 	start := p.Clock()
 	o := s.inner.Critical(p, body)
-	s.col.Op(p.Clock(), p.ID(), o.Speculative, p.Clock()-start, o.Attempts-1, o.AuxUsed, o.AuxDwell)
-	if o.Forfeited || o.ForfeitEntered || o.ForfeitExited {
-		s.col.AdaptiveOp(o.Forfeited, o.ForfeitEntered, o.ForfeitExited, o.ExhaustedClass.String())
-	}
 	exhausted := ""
 	if o.ForfeitEntered {
 		exhausted = o.ExhaustedClass.String()
 	}
-	// OpDetail seals the attempt chain: every tx/lock event the section
-	// emitted since start belongs to this chain, and the payload carries the
-	// Outcome facets chain analytics need (flight recorder).
-	s.col.OpDetail(obs.OpEvent{
-		Start:          start,
+	s.ev = obs.Event{
+		Kind:           obs.KindOp,
 		When:           p.Clock(),
 		Tid:            p.ID(),
+		Start:          start,
 		Spec:           o.Speculative,
 		Attempts:       o.Attempts,
 		Aborts:         o.Aborts,
@@ -59,6 +57,7 @@ func (s *Observed) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 		ForfeitEntered: o.ForfeitEntered,
 		ForfeitExited:  o.ForfeitExited,
 		ExhaustedClass: exhausted,
-	})
+	}
+	s.col.Observe(&s.ev)
 	return o
 }

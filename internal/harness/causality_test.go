@@ -9,6 +9,8 @@ import (
 	"elision/internal/htm"
 	"elision/internal/obs"
 	"elision/internal/obs/causality"
+	"elision/internal/obs/flight"
+	"elision/internal/trace"
 )
 
 // TestCausalityGolden is the issue's acceptance criterion on the seed §4
@@ -26,7 +28,7 @@ func TestCausalityGolden(t *testing.T) {
 		{SchemeHLE, LockTicketHLE, true},
 		{SchemeOptSLR, LockMCS, false},
 	} {
-		_, _, _, eng := CausalRun(sc.Section4Config(tc.scheme, tc.lock), causality.Config{})
+		_, _, _, eng, _ := FlightRun(sc.Section4Config(tc.scheme, tc.lock), causality.Config{}, flight.Config{})
 		r := eng.Report()
 		if tc.lemming {
 			if len(r.Epochs) < 1 {
@@ -59,8 +61,8 @@ func TestCausalityGolden(t *testing.T) {
 // function of the machine seed: two identical runs agree field-for-field.
 func TestCausalityDeterministic(t *testing.T) {
 	cfg := TestScale().Section4Config(SchemeHLE, LockMCS)
-	_, _, _, a := CausalRun(cfg, causality.Config{})
-	_, _, _, b := CausalRun(cfg, causality.Config{})
+	_, _, _, a, _ := FlightRun(cfg, causality.Config{}, flight.Config{})
+	_, _, _, b, _ := FlightRun(cfg, causality.Config{}, flight.Config{})
 	if !reflect.DeepEqual(a.Report(), b.Report()) {
 		t.Fatalf("reports diverged:\n%+v\n%+v", a.Report(), b.Report())
 	}
@@ -74,7 +76,9 @@ func TestCausalityDeterministic(t *testing.T) {
 func TestCausalRunMatchesUnobserved(t *testing.T) {
 	cfg := TestScale().Section4Config(SchemeHLE, LockMCS)
 	plain := RunDataStructure(cfg)
-	res, _, _, _ := CausalRun(cfg, causality.Config{})
+	col := newCollector(cfg)
+	causality.Attach(col, causality.Config{})
+	res := RunDataStructureObserved(cfg, col, nil)
 	if plain.Stats != res.Stats || plain.Cycles != res.Cycles {
 		t.Fatalf("causal run diverged:\nplain  %+v (%d cycles)\ncausal %+v (%d cycles)",
 			plain.Stats, plain.Cycles, res.Stats, res.Cycles)
@@ -86,13 +90,13 @@ func TestCausalRunMatchesUnobserved(t *testing.T) {
 // cat+id with the finish bound to the victim's aborting slice.
 func TestCausalityFlowExport(t *testing.T) {
 	sc := TestScale()
-	_, _, tr, eng := CausalRun(sc.Section4Config(SchemeHLE, LockMCS), causality.Config{})
+	_, _, tr, eng, _ := FlightRun(sc.Section4Config(SchemeHLE, LockMCS), causality.Config{}, flight.Config{})
 	flows := eng.FlowEvents()
 	if len(flows) == 0 {
 		t.Fatal("lemming run produced no flow events")
 	}
 	var buf bytes.Buffer
-	err := obs.WriteChromeTraceFlows(&buf, tr.Events(), func(arg int64) string {
+	err := trace.WriteChromeTraceFlows(&buf, tr.Events(), func(arg int64) string {
 		return htm.Cause(arg).String()
 	}, flows)
 	if err != nil {
@@ -138,11 +142,11 @@ func TestCausalityFlowExport(t *testing.T) {
 // recorded.
 func TestChromeTraceAuxRejoinSlices(t *testing.T) {
 	sc := TestScale()
-	res, col, tr := ObservedRun(sc.Section4Config(SchemeHLESCM, LockMCS))
+	res, col, tr, _, _ := FlightRun(sc.Section4Config(SchemeHLESCM, LockMCS), causality.Config{}, flight.Config{})
 	if res.Stats.AuxAcquires == 0 {
 		t.Fatal("SCM run never used the auxiliary lock")
 	}
-	events := obs.ChromeTraceEvents(tr.Events(), func(arg int64) string {
+	events := trace.ChromeTraceEvents(tr.Events(), func(arg int64) string {
 		return htm.Cause(arg).String()
 	})
 

@@ -79,13 +79,6 @@ type Diagnosis struct {
 	Runs          []DiagnoseResult `json:"runs"`
 }
 
-// DiagnosePointRun executes one point with the causality engine attached and
-// distills its report.
-func DiagnosePointRun(cfg DSConfig, ccfg causality.Config) DiagnoseResult {
-	res, _, _, eng := CausalRun(cfg, ccfg)
-	return distillDiagnosis(cfg, res, eng)
-}
-
 // distillDiagnosis shapes one causal run's report into a DiagnoseResult.
 func distillDiagnosis(cfg DSConfig, res Result, eng *causality.Engine) DiagnoseResult {
 	r := eng.Report()
@@ -138,11 +131,15 @@ func DiagnoseRollup(sc Scale, panel []DiagnosePoint, ccfg causality.Config, fc f
 	}
 	d.Runs = fleet.Collect(fc, len(panel), func(i int) DiagnoseResult {
 		cfg := sc.Section4Config(panel[i].Scheme, panel[i].Lock)
-		if ru == nil {
-			return DiagnosePointRun(cfg, ccfg)
+		col := newCollector(cfg)
+		eng := causality.Attach(col, ccfg)
+		if ru != nil {
+			flight.Attach(col, flight.Config{MaxChains: -1})
 		}
-		res, col, _, eng, _ := FlightRun(cfg, ccfg, flight.Config{MaxChains: -1})
-		ru.AddRun(col)
+		res := RunDataStructureObserved(cfg, col, nil)
+		if ru != nil {
+			ru.AddRun(col)
+		}
 		return distillDiagnosis(cfg, res, eng)
 	})
 	return d

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"elision/internal/htm"
+	"elision/internal/obs/causality"
+	"elision/internal/obs/flight"
 )
 
 // instanceTestConfigs returns three benchmark points spanning both
@@ -233,6 +235,49 @@ func TestInstanceRunAllocsIndependentOfBudget(t *testing.T) {
 		if short != twice {
 			t.Errorf("%s/%s size %d: %v allocs per run at budget %d (%d ops), %v at %d (%d ops); want equal",
 				cfg.Scheme, cfg.Lock, cfg.Size, short, cfg.BudgetCycles, ops[0], twice, long.BudgetCycles, ops[1])
+		}
+	}
+}
+
+// TestObservedRunAllocsIndependentOfBudget: with the collector, causality
+// engine and an aggregates-only flight recorder attached — the rig
+// DiagnoseRollup runs every panel point under — a run allocates at most
+// about 5% more at budget 2B than at B: its per-run setup and nothing per
+// event. The same points run unobserved allocate exactly the same at both
+// budgets.
+func TestObservedRunAllocsIndependentOfBudget(t *testing.T) {
+	sc := TestScale()
+	for _, pt := range DefaultDiagnosePanel() {
+		cfg := sc.Section4Config(pt.Scheme, pt.Lock)
+		long := cfg
+		long.BudgetCycles *= 2
+		in := NewInstance(NewFillCache())
+		in.Run(long) // warm-up: cold fill, pooled memory and Tx state
+		observed := func(c DSConfig) func() {
+			return func() {
+				col := newCollector(c)
+				causality.Attach(col, causality.Config{})
+				flight.Attach(col, flight.Config{MaxChains: -1})
+				in.RunObserved(c, col, nil)
+			}
+		}
+		plain := func(c DSConfig) func() { return func() { in.Run(c) } }
+		// The runtime itself allocates now and then (a GC cycle may start
+		// workers), which only ever adds: take the least of three samples.
+		least := func(f func()) float64 {
+			n := math.Inf(1)
+			for k := 0; k < 3; k++ {
+				n = min(n, testing.AllocsPerRun(3, f))
+			}
+			return n
+		}
+		if short, twice := least(observed(cfg)), least(observed(long)); twice > 1.05*short {
+			t.Errorf("%s/%s observed: %v allocs per run at budget %d, %v at %d; want at most 5%% more",
+				pt.Scheme, pt.Lock, short, cfg.BudgetCycles, twice, long.BudgetCycles)
+		}
+		if short, twice := least(plain(cfg)), least(plain(long)); short != twice {
+			t.Errorf("%s/%s unobserved: %v allocs per run at budget %d, %v at %d; want equal",
+				pt.Scheme, pt.Lock, short, cfg.BudgetCycles, twice, long.BudgetCycles)
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 
 	"elision/internal/htm"
 	"elision/internal/obs"
+	"elision/internal/obs/causality"
+	"elision/internal/obs/flight"
 	"elision/internal/trace"
 )
 
@@ -17,7 +19,7 @@ import (
 // the lock word, not the data.
 func TestHotLineProfilerFingersLockUnderHLEMCS(t *testing.T) {
 	sc := TestScale()
-	res, col, _ := ObservedRun(sc.Section4Config(SchemeHLE, LockMCS))
+	res, col, _, _, _ := FlightRun(sc.Section4Config(SchemeHLE, LockMCS), causality.Config{}, flight.Config{})
 	if len(res.LockLines) == 0 {
 		t.Fatal("MCS must report its lock lines")
 	}
@@ -45,7 +47,7 @@ func TestHotLineProfilerFingersLockUnderHLEMCS(t *testing.T) {
 // workload's hot lines must all be data lines.
 func TestHotLineProfilerLockAbsentUnderOptSLR(t *testing.T) {
 	sc := TestScale()
-	res, col, _ := ObservedRun(sc.Section4Config(SchemeOptSLR, LockMCS))
+	res, col, _, _, _ := FlightRun(sc.Section4Config(SchemeOptSLR, LockMCS), causality.Config{}, flight.Config{})
 	top := col.Hot.TopN(5)
 	if len(top) == 0 {
 		t.Fatal("contended SLR run recorded no conflict aborts")
@@ -64,7 +66,7 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 	sc := TestScale()
 	cfg := sc.Section4Config(SchemeHLESCM, LockMCS)
 	plain := RunDataStructure(cfg)
-	observed, _, _ := ObservedRun(cfg)
+	observed, _, _, _, _ := FlightRun(cfg, causality.Config{}, flight.Config{})
 	if plain.Stats != observed.Stats || plain.Cycles != observed.Cycles {
 		t.Fatalf("observed run diverged:\nplain    %+v (%d cycles)\nobserved %+v (%d cycles)",
 			plain.Stats, plain.Cycles, observed.Stats, observed.Cycles)
@@ -75,7 +77,7 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 // run's own statistics and the tracer's event counts.
 func TestObservedRunFeedsAllSinks(t *testing.T) {
 	sc := TestScale()
-	res, col, tr := ObservedRun(sc.Section4Config(SchemeHLESCM, LockMCS))
+	res, col, tr, _, _ := FlightRun(sc.Section4Config(SchemeHLESCM, LockMCS), causality.Config{}, flight.Config{})
 	s := res.Stats
 	base := col.BaseLabels()
 
@@ -85,18 +87,18 @@ func TestObservedRunFeedsAllSinks(t *testing.T) {
 		t.Fatalf("ops counters (%d,%d) != stats (%d,%d)", spec, nonspec, s.Spec, s.NonSpec)
 	}
 	counts := tr.Counts()
-	if got := col.Reg.Counter(obs.MetricCommits, base).Value(); got != uint64(counts[trace.TxCommit]) {
-		t.Fatalf("commit counter %d != traced commits %d", got, counts[trace.TxCommit])
+	if got := col.Reg.Counter(obs.MetricCommits, base).Value(); got != uint64(counts[obs.KindTxCommit]) {
+		t.Fatalf("commit counter %d != traced commits %d", got, counts[obs.KindTxCommit])
 	}
 	var aborts uint64
 	for c := htm.Cause(0); int(c) < htm.NumCauses; c++ {
 		aborts += col.Reg.Counter(obs.MetricAborts, base.With("cause", c.String())).Value()
 	}
-	if aborts != uint64(counts[trace.TxAbort]) {
-		t.Fatalf("abort counters %d != traced aborts %d", aborts, counts[trace.TxAbort])
+	if aborts != uint64(counts[obs.KindTxAbort]) {
+		t.Fatalf("abort counters %d != traced aborts %d", aborts, counts[obs.KindTxAbort])
 	}
-	if got := col.Reg.Histogram(obs.MetricReadSet, base.With("at", "commit")).Count(); got != uint64(counts[trace.TxCommit]) {
-		t.Fatalf("read-set histogram %d samples, want %d", got, counts[trace.TxCommit])
+	if got := col.Reg.Histogram(obs.MetricReadSet, base.With("at", "commit")).Count(); got != uint64(counts[obs.KindTxCommit]) {
+		t.Fatalf("read-set histogram %d samples, want %d", got, counts[obs.KindTxCommit])
 	}
 	if got := col.Reg.Counter(obs.MetricAuxEntries, base).Value(); got != s.AuxAcquires {
 		t.Fatalf("aux entries %d != stats %d", got, s.AuxAcquires)
@@ -130,7 +132,7 @@ func TestObservedRunFeedsAllSinks(t *testing.T) {
 // non-speculative acquisition and stays down for the rest of the run.
 func TestSeriesShowsLemmingCollapse(t *testing.T) {
 	sc := TestScale()
-	_, col, _ := ObservedRun(sc.Section4Config(SchemeHLE, LockMCS))
+	_, col, _, _, _ := FlightRun(sc.Section4Config(SchemeHLE, LockMCS), causality.Config{}, flight.Config{})
 	wins := col.Series.Windows()
 	if len(wins) < 4 {
 		t.Fatalf("only %d windows", len(wins))
@@ -148,9 +150,9 @@ func TestSeriesShowsLemmingCollapse(t *testing.T) {
 // events and validates the required schema fields.
 func TestObservedRunChromeExport(t *testing.T) {
 	sc := TestScale()
-	_, _, tr := ObservedRun(sc.Section4Config(SchemeHLE, LockMCS))
+	_, _, tr, _, _ := FlightRun(sc.Section4Config(SchemeHLE, LockMCS), causality.Config{}, flight.Config{})
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, tr.Events(), func(arg int64) string {
+	if err := trace.WriteChromeTrace(&buf, tr.Events(), func(arg int64) string {
 		return htm.Cause(arg).String()
 	}); err != nil {
 		t.Fatal(err)

@@ -27,40 +27,24 @@ func (sc Scale) Section4Config(scheme SchemeID, lock LockID) DSConfig {
 	}
 }
 
-// ObservedRun executes one benchmark point with a full observability rig
-// attached and returns the result alongside the fed collector and tracer.
-// The collector's window width is sized to the run: ~20 windows across the
-// cycle budget, so the lemming collapse is visible as a handful of numbers.
-func ObservedRun(cfg DSConfig) (Result, *obs.Collector, *trace.Tracer) {
-	width := cfg.BudgetCycles / 20
-	col := obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), width)
-	tr := trace.New(0)
-	res := RunDataStructureObserved(cfg, col, tr)
-	return res, col, tr
+// newCollector builds the collector for one benchmark point, its window
+// width sized to the run: ~20 windows across the cycle budget, so the
+// lemming collapse is visible as a handful of numbers.
+func newCollector(cfg DSConfig) *obs.Collector {
+	return obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), cfg.BudgetCycles/20)
 }
 
-// CausalRun is ObservedRun with the abort-causality engine attached: the
-// returned engine holds the run's causality graph, abort classification and
-// serialization epochs, and its scorecard is part of the collector's text
-// dump. ccfg's zero value selects the engine defaults.
-func CausalRun(cfg DSConfig, ccfg causality.Config) (Result, *obs.Collector, *trace.Tracer, *causality.Engine) {
-	width := cfg.BudgetCycles / 20
-	col := obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), width)
-	eng := causality.Attach(col, ccfg)
-	tr := trace.New(0)
-	res := RunDataStructureObserved(cfg, col, tr)
-	return res, col, tr, eng
-}
-
-// FlightRun is CausalRun with the flight recorder riding the same collector
-// (the causality engine and the recorder share the feed through a Tee): the
-// returned recorder holds the run's attempt chains and its cycle-partition
-// aggregates sit in the collector's registry as flight_* families. fcfg's
-// zero value selects the recorder defaults (raw-chain retention capped at
+// FlightRun executes one benchmark point with the full observability rig:
+// a collector carrying the abort-causality engine and the flight recorder
+// as sinks, plus the swimlane tracer. The returned engine holds the run's
+// causality graph, abort classification and serialization epochs; the
+// recorder holds its attempt chains, and its cycle-partition aggregates sit
+// in the collector's registry as flight_* families. Both append their
+// reports to the collector's text dump. ccfg's and fcfg's zero values
+// select the defaults (raw-chain retention capped at
 // flight.DefaultMaxChains).
 func FlightRun(cfg DSConfig, ccfg causality.Config, fcfg flight.Config) (Result, *obs.Collector, *trace.Tracer, *causality.Engine, *flight.Recorder) {
-	width := cfg.BudgetCycles / 20
-	col := obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), width)
+	col := newCollector(cfg)
 	eng := causality.Attach(col, ccfg)
 	rec := flight.Attach(col, fcfg)
 	tr := trace.New(0)

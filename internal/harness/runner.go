@@ -166,7 +166,7 @@ func (r *Runner) RunAllRollup(cfgs []DSConfig, ru *rollup.Campaign) []Result {
 		run := make([]Result, len(todo))
 		fleet.Run(fc, len(todo), func(w, i int) {
 			cfg := todo[i]
-			col := obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), cfg.BudgetCycles/20)
+			col := newCollector(cfg)
 			causality.Attach(col, causality.Config{})
 			if r.Flight {
 				// Raw chains are not needed for the fold — the flight_*

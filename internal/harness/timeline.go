@@ -6,6 +6,7 @@ import (
 
 	"elision/internal/core"
 	"elision/internal/htm"
+	"elision/internal/obs"
 	"elision/internal/rbtree"
 	"elision/internal/sim"
 	"elision/internal/trace"
@@ -55,7 +56,7 @@ func LemmingTimeline(sc Scale, lock LockID) string {
 	// Center the window on the first lock acquisition.
 	var trigger uint64
 	for _, e := range tr.Events() {
-		if e.Kind == trace.LockAcquire {
+		if e.Kind == obs.KindLockAcquire {
 			trigger = e.When
 			break
 		}
@@ -70,7 +71,7 @@ func LemmingTimeline(sc Scale, lock LockID) string {
 	fmt.Fprintf(&sb, "HLE-%s, %d threads, size-64 tree, 20%% updates — first lock acquisition at t=%d\n",
 		lock, nt, trigger)
 	fmt.Fprintf(&sb, "totals: %d begins, %d commits, %d aborts, %d lock acquisitions\n",
-		counts[trace.TxBegin], counts[trace.TxCommit], counts[trace.TxAbort], counts[trace.LockAcquire])
+		counts[obs.KindTxBegin], counts[obs.KindTxCommit], counts[obs.KindTxAbort], counts[obs.KindLockAcquire])
 	tr.Timeline(&sb, nt, from, from+span, 100)
 	return sb.String()
 }

@@ -3,7 +3,6 @@ package htm
 import (
 	"elision/internal/obs"
 	"elision/internal/sim"
-	"elision/internal/trace"
 )
 
 // Atomic executes body as a hardware transaction on proc p and returns its
@@ -20,8 +19,7 @@ func (m *Memory) Atomic(p *sim.Proc, body func(tx *Tx)) Status {
 	}
 
 	p.Advance(m.cost.TxBegin)
-	m.tracer.Emit(p.Clock(), p.ID(), trace.TxBegin, 0)
-	m.col.TxBegin(p.Clock(), p.ID())
+	m.emitKind(p, obs.KindTxBegin)
 	tx := &m.txs[p.ID()]
 	tx.reset(p, m)
 	m.cur[p.ID()] = tx
@@ -43,29 +41,31 @@ func (m *Memory) Atomic(p *sim.Proc, body func(tx *Tx)) Status {
 			st = ab.st
 			tx.cleanup()
 			p.Advance(m.cost.TxAbort)
-			m.tracer.Emit(p.Clock(), p.ID(), trace.TxAbort, int64(st.Cause))
-			// cleanup leaves the member lists intact, so the
-			// collector sees the sizes reached before the abort — and, for
-			// conflicts, the full causality payload: the line, the aborter,
-			// whether it was a fallback-path (non-transactional) access, and
-			// the aborter's clock at the dooming access.
-			m.col.TxAbort(obs.AbortEvent{
-				When:         p.Clock(),
-				Tid:          p.ID(),
-				Cause:        st.Cause.String(),
-				ReadLines:    len(tx.readLines),
-				WriteLines:   len(tx.writeLines),
-				ConflictLine: st.ConflictLine,
-				ConflictTid:  st.ConflictTid,
-				ConflictNT:   st.ConflictNT,
-				ConflictWhen: tx.doomWhen,
-				Code:         st.Code,
-			})
+			// cleanup leaves the member lists intact, so the sinks see
+			// the sizes reached before the abort — and, for conflicts, the
+			// full causality payload: the line, the aborter, whether it was
+			// a fallback-path (non-transactional) access, and the aborter's
+			// clock at the dooming access.
+			if m.observed() {
+				m.emit(p, obs.Event{
+					Kind:         obs.KindTxAbort,
+					ReadLines:    len(tx.readLines),
+					WriteLines:   len(tx.writeLines),
+					Cause:        st.Cause.String(),
+					Arg:          int64(st.Cause),
+					ConflictLine: st.ConflictLine,
+					ConflictTid:  st.ConflictTid,
+					ConflictNT:   st.ConflictNT,
+					ConflictWhen: tx.doomWhen,
+					Code:         st.Code,
+				})
+			}
 		}()
 		body(tx)
 		st = tx.commit()
-		m.tracer.Emit(p.Clock(), p.ID(), trace.TxCommit, 0)
-		m.col.TxCommit(p.Clock(), p.ID(), len(tx.readLines), len(tx.writeLines))
+		if m.observed() {
+			m.emit(p, obs.Event{Kind: obs.KindTxCommit, ReadLines: len(tx.readLines), WriteLines: len(tx.writeLines)})
+		}
 	}()
 	m.cur[p.ID()] = nil
 	return st

@@ -187,6 +187,8 @@ type Memory struct {
 	policy   Policy
 	tracer   *trace.Tracer  // nil when tracing is off
 	col      *obs.Collector // nil when observability is off
+	// ev is the event being emitted (see emit).
+	ev obs.Event
 
 	// Subscription-state machinery for the lazy-subscription hardware fix.
 	// subLines lists the fallback lock's lines (SetSubscriptionLines), each
@@ -304,35 +306,48 @@ func (m *Memory) Reset(mach *sim.Machine, cfg Config) {
 // Store exposes the raw word store (for setup code and allocators).
 func (m *Memory) Store() *mem.Store { return m.store }
 
-// SetTracer attaches an event tracer (nil turns tracing off).
+// SetTracer attaches the swimlane tracer (nil turns tracing off).
 func (m *Memory) SetTracer(t *trace.Tracer) { m.tracer = t }
 
-// Tracer returns the attached tracer, possibly nil.
-func (m *Memory) Tracer() *trace.Tracer { return m.tracer }
-
-// SetCollector attaches a metrics collector fed by every commit and abort:
-// abort causes, read/write-set sizes, and the conflicting cache line for
-// the hot-line profiler (nil turns observability off).
+// SetCollector attaches a metrics collector, and through it its sinks, fed
+// by every transactional and lock event: abort causes, read/write-set
+// sizes, and the conflicting cache line for the hot-line profiler (nil
+// turns observability off).
 func (m *Memory) SetCollector(c *obs.Collector) { m.col = c }
 
-// Collector returns the attached collector, possibly nil.
-func (m *Memory) Collector() *obs.Collector { return m.col }
+// observed reports whether a collector or tracer is attached. Emission
+// sites test it before building an event, so an unobserved run pays one
+// branch per site.
+func (m *Memory) observed() bool { return m.col != nil || m.tracer != nil }
+
+// emit delivers ev, stamped with p's clock and id, to the attached
+// collector and tracer. The event is copied into m.ev first: a pointer to
+// the argument would escape through the sinks' interface and heap-allocate
+// every emission.
+func (m *Memory) emit(p *sim.Proc, ev obs.Event) {
+	m.ev = ev
+	m.ev.When, m.ev.Tid = p.Clock(), p.ID()
+	m.col.Observe(&m.ev)
+	m.tracer.Observe(&m.ev)
+}
+
+// emitKind emits an event of kind k with no payload.
+func (m *Memory) emitKind(p *sim.Proc, k obs.Kind) {
+	if m.observed() {
+		m.emit(p, obs.Event{Kind: k})
+	}
+}
 
 // TraceLockWait records the start of a blocking main-lock acquisition —
 // schemes call this immediately before Lock on their fallback paths, so the
 // flight recorder can split a fallback's cost into waiting (contention) and
-// holding (dwell). The event reaches only the collector: it marks intent,
-// not ownership, so the swimlane tracer and ownership-tracking observers
-// ignore the wait phase.
-func (m *Memory) TraceLockWait(p *sim.Proc) {
-	m.col.LockWaiting(p.Clock(), p.ID())
-}
+// holding (dwell). It marks intent, not ownership, so the swimlane tracer
+// and ownership-tracking sinks ignore the wait phase.
+func (m *Memory) TraceLockWait(p *sim.Proc) { m.emitKind(p, obs.KindLockWait) }
 
 // TraceAuxWait records the start of a blocking auxiliary-lock acquisition
 // (SCM serializing-path entry begins queueing).
-func (m *Memory) TraceAuxWait(p *sim.Proc) {
-	m.col.AuxWaiting(p.Clock(), p.ID())
-}
+func (m *Memory) TraceAuxWait(p *sim.Proc) { m.emitKind(p, obs.KindAuxWait) }
 
 // TraceLock records a non-speculative main-lock acquisition — schemes call
 // this on their fallback paths so timelines show lemming triggers and the
@@ -343,30 +358,22 @@ func (m *Memory) TraceLock(p *sim.Proc) {
 		m.meta[l].holderRead = false
 	}
 	m.holderReads = m.holderReads[:0]
-	m.tracer.Emit(p.Clock(), p.ID(), trace.LockAcquire, 0)
-	m.col.LockAcquired(p.Clock(), p.ID())
+	m.emitKind(p, obs.KindLockAcquire)
 }
 
 // TraceUnlock records the matching release.
 func (m *Memory) TraceUnlock(p *sim.Proc) {
 	m.fbHolder = -1
-	m.tracer.Emit(p.Clock(), p.ID(), trace.LockRelease, 0)
-	m.col.LockReleased(p.Clock(), p.ID())
+	m.emitKind(p, obs.KindLockRelease)
 }
 
 // TraceAuxLock records an SCM auxiliary-lock acquisition (serializing-path
 // entry). SCM schemes call it at the instant their aux dwell starts, so the
 // traced slice duration equals Outcome.AuxDwell.
-func (m *Memory) TraceAuxLock(p *sim.Proc) {
-	m.tracer.Emit(p.Clock(), p.ID(), trace.AuxAcquire, 0)
-	m.col.AuxAcquired(p.Clock(), p.ID())
-}
+func (m *Memory) TraceAuxLock(p *sim.Proc) { m.emitKind(p, obs.KindAuxAcquire) }
 
 // TraceAuxUnlock records the matching auxiliary release (dwell end).
-func (m *Memory) TraceAuxUnlock(p *sim.Proc) {
-	m.tracer.Emit(p.Clock(), p.ID(), trace.AuxRelease, 0)
-	m.col.AuxReleased(p.Clock(), p.ID())
-}
+func (m *Memory) TraceAuxUnlock(p *sim.Proc) { m.emitKind(p, obs.KindAuxRelease) }
 
 // SetSubscriptionLines registers the fallback lock's cache lines for
 // subscription tracking: a transaction counts as "subscribed" once it has

@@ -168,7 +168,7 @@ func profileFor(c Case) profile {
 	}
 }
 
-// oracle consumes the collector's raw event feed, forwards it to the
+// oracle is a sink of the collector's event stream: it forwards it to the
 // causality engine, and runs the stream-order invariants: mutual exclusion
 // on the main lock, per-thread balance (and, where promised, global
 // exclusion) on the auxiliary locks, and SLR commit-safety.
@@ -203,7 +203,7 @@ type oracle struct {
 	ops           uint64
 }
 
-var _ obs.TxObserver = (*oracle)(nil)
+var _ obs.Sink = (*oracle)(nil)
 
 func newOracle(prof profile, eng *causality.Engine, repro string) *oracle {
 	return &oracle{
@@ -224,13 +224,33 @@ func (o *oracle) fail(oracleName, format string, args ...any) {
 	})
 }
 
-// ObserveCommit implements obs.TxObserver. The commit-safety oracle: no
-// transaction may commit while another thread holds the main lock — every
-// correct scheme either subscribes to the lock at start (HLE, SCM-over-HLE)
-// or checks it at commit (SLR), so a non-speculative holder dooms or aborts
-// every overlapping transaction. A commit observed mid-hold is exactly the
+// Observe implements obs.Sink: each event is checked, then forwarded to
+// the causality engine.
+func (o *oracle) Observe(ev *obs.Event) {
+	switch ev.Kind {
+	case obs.KindTxCommit:
+		o.commit(ev.When, ev.Tid)
+	case obs.KindTxAbort:
+		if ev.Cause == "conflict" && ev.ConflictTid >= 0 {
+			o.conflictEdges++
+		}
+	case obs.KindLockAcquire, obs.KindLockRelease, obs.KindAuxAcquire, obs.KindAuxRelease:
+		o.lock(ev)
+	case obs.KindOp:
+		o.ops++
+	case obs.KindFinish:
+		o.finish()
+	}
+	o.eng.Observe(ev)
+}
+
+// commit is the commit-safety oracle: no transaction may commit while
+// another thread holds the main lock — every correct scheme either
+// subscribes to the lock at start (HLE, SCM-over-HLE) or checks it at
+// commit (SLR), so a non-speculative holder dooms or aborts every
+// overlapping transaction. A commit observed mid-hold is exactly the
 // lazy-subscription unsafety of Dice et al.
-func (o *oracle) ObserveCommit(when uint64, tid int) {
+func (o *oracle) commit(when uint64, tid int) {
 	o.commits++
 	if o.onCommit != nil {
 		o.onCommit(tid)
@@ -240,40 +260,27 @@ func (o *oracle) ObserveCommit(when uint64, tid int) {
 			"proc %d committed a transaction at t=%d while proc %d held the main lock",
 			tid, when, o.mainHolder)
 	}
-	o.eng.ObserveCommit(when, tid)
 }
 
-// ObserveAbort implements obs.TxObserver.
-func (o *oracle) ObserveAbort(ev obs.AbortEvent) {
-	if ev.Cause == "conflict" && ev.ConflictTid >= 0 {
-		o.conflictEdges++
-	}
-	o.eng.ObserveAbort(ev)
-}
-
-// ObserveLock implements obs.TxObserver: the mutual-exclusion state machine.
-func (o *oracle) ObserveLock(ev obs.LockEvent) {
-	if ev.Wait {
-		// Wait-phase events mark intent, not ownership; the exclusion
-		// machine only tracks held locks.
-		return
-	}
-	switch {
-	case !ev.Aux && !ev.Release:
+// lock is the mutual-exclusion state machine over held locks. Wait-phase
+// events mark intent, not ownership, and never reach it.
+func (o *oracle) lock(ev *obs.Event) {
+	switch ev.Kind {
+	case obs.KindLockAcquire:
 		if o.mainHolder >= 0 {
 			o.fail(OracleMutualExclusion,
 				"proc %d acquired the main lock at t=%d while proc %d already held it",
 				ev.Tid, ev.When, o.mainHolder)
 		}
 		o.mainHolder = ev.Tid
-	case !ev.Aux && ev.Release:
+	case obs.KindLockRelease:
 		if o.mainHolder != ev.Tid {
 			o.fail(OracleMutualExclusion,
 				"proc %d released the main lock at t=%d but the holder was %d",
 				ev.Tid, ev.When, o.mainHolder)
 		}
 		o.mainHolder = -1
-	case ev.Aux && !ev.Release:
+	case obs.KindAuxAcquire:
 		if o.auxHeld[ev.Tid] {
 			o.fail(OracleAuxDiscipline,
 				"proc %d acquired an auxiliary lock at t=%d while already holding one",
@@ -288,7 +295,7 @@ func (o *oracle) ObserveLock(ev obs.LockEvent) {
 			}
 			o.auxHolder = ev.Tid
 		}
-	default:
+	case obs.KindAuxRelease:
 		if !o.auxHeld[ev.Tid] {
 			o.fail(OracleAuxDiscipline,
 				"proc %d released an auxiliary lock at t=%d without holding one",
@@ -304,20 +311,10 @@ func (o *oracle) ObserveLock(ev obs.LockEvent) {
 			o.auxHolder = -1
 		}
 	}
-	o.eng.ObserveLock(ev)
 }
 
-// ObserveOp implements obs.TxObserver.
-func (o *oracle) ObserveOp(when uint64, tid int, spec, auxUsed bool) {
-	o.ops++
-	o.eng.ObserveOp(when, tid, spec, auxUsed)
-}
-
-// ObserveLockLines implements obs.TxObserver.
-func (o *oracle) ObserveLockLines(lines []int) { o.eng.ObserveLockLines(lines) }
-
-// ObserveFinish implements obs.TxObserver: no lock may outlive the run.
-func (o *oracle) ObserveFinish(totalCycles uint64) {
+// finish checks that no lock outlives the run.
+func (o *oracle) finish() {
 	if o.mainHolder >= 0 {
 		o.fail(OracleMutualExclusion,
 			"main lock still held by proc %d at run end", o.mainHolder)
@@ -331,5 +328,4 @@ func (o *oracle) ObserveFinish(totalCycles uint64) {
 		o.fail(OracleAuxDiscipline,
 			"auxiliary lock still held by proc %d at run end", tid)
 	}
-	o.eng.ObserveFinish(totalCycles)
 }

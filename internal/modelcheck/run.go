@@ -143,7 +143,7 @@ func RunWith(c Case, build SchemeBuilder) Result {
 	}
 	prof := profileFor(c)
 	orc := newOracle(prof, eng, repro)
-	col.SetObserver(orc)
+	col.Attach(orc)
 
 	if build == nil {
 		if c.Mutant != "" {

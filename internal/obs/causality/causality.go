@@ -4,7 +4,7 @@
 //
 // Every conflict abort carries the aborter's identity, the contended cache
 // line, whether the dooming access was transactional, and the aborter's
-// clock at the dooming access (htm.Status / obs.AbortEvent). From these the
+// clock at the dooming access (htm.Status / obs.Event). From these the
 // engine builds the abort-causality graph — directed edges aborter-tid →
 // victim-tid keyed by cache line and virtual-time window — and classifies
 // each abort:
@@ -28,10 +28,10 @@
 // victims 2, and so on — with a fair lock the queue "remembers" and depths
 // grow; with TTAS or SLR they stay shallow.
 //
-// Invariants: the engine is fed from the collector on the simulated
-// machine's single runner goroutine, so like trace.Tracer it is plain
-// unsynchronized state and its output is a deterministic function of the
-// machine seed. Attaching it never perturbs the simulation (the observer
+// Invariants: the engine is an obs.Sink fed from the collector on the
+// simulated machine's single runner goroutine, so like trace.Tracer it is
+// plain unsynchronized state and its output is a deterministic function of
+// the machine seed. Attaching it never perturbs the simulation (the sink
 // only reads event payloads).
 package causality
 
@@ -162,7 +162,7 @@ type EpochStat struct {
 // Duration returns the epoch's extent in cycles.
 func (e EpochStat) Duration() uint64 { return e.End - e.Start }
 
-// Engine consumes the collector's event feed and accumulates the graph,
+// Engine consumes the collector's event stream and accumulates the graph,
 // the classification tallies and the epoch list. Create with Attach.
 type Engine struct {
 	cfg       Config
@@ -202,11 +202,11 @@ type Engine struct {
 	mEpochAborts *obs.Histogram
 }
 
-var _ obs.TxObserver = (*Engine)(nil)
+var _ obs.Sink = (*Engine)(nil)
 var _ obs.TextReporter = (*Engine)(nil)
 
-// New builds a detached engine (no registry mirroring); feed it manually or
-// via Collector.SetObserver.
+// New builds a detached engine (no registry mirroring); feed it through
+// Observe, directly or as a collector's sink.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
@@ -218,7 +218,7 @@ func New(cfg Config) *Engine {
 }
 
 // Attach builds an engine, mirrors its epoch metrics into col's registry
-// under col's base labels, and registers it as col's observer. A nil
+// under col's base labels, and attaches it to col as a sink. A nil
 // collector returns a detached engine.
 func Attach(col *obs.Collector, cfg Config) *Engine {
 	e := New(cfg)
@@ -234,19 +234,43 @@ func Attach(col *obs.Collector, cfg Config) *Engine {
 	for _, cl := range []string{ClassFallbackLock, ClassFallbackData, ClassSpecConflict, ClassOther} {
 		e.mByClass[cl] = col.Reg.Counter(MetricAbortsByClass, base.With("class", cl))
 	}
-	col.SetObserver(e)
+	col.Attach(e)
 	return e
 }
 
-// ObserveLockLines implements obs.TxObserver.
-func (e *Engine) ObserveLockLines(lines []int) {
-	for _, l := range lines {
-		e.lockLines[l] = true
+// Observe implements obs.Sink.
+func (e *Engine) Observe(ev *obs.Event) {
+	switch ev.Kind {
+	case obs.KindTxCommit:
+		e.commit(ev.When, ev.Tid)
+	case obs.KindTxAbort:
+		e.abort(ev)
+	case obs.KindLockAcquire, obs.KindLockRelease:
+		// Main-lock activity keeps an open epoch alive — with a fair lock the
+		// queue of pending acquirers is exactly what sustains the cascade.
+		e.advance(ev.When)
+		e.extend(ev.When)
+	case obs.KindAuxAcquire, obs.KindAuxRelease:
+		// Auxiliary (SCM) transitions don't extend epochs. Wait-phase events
+		// mark intent, not ownership: the lock is not held yet, so they
+		// neither advance nor extend one.
+		e.advance(ev.When)
+	case obs.KindOp:
+		e.op(ev.When, ev.Tid, ev.Spec, ev.AuxUsed)
+	case obs.KindLockLines:
+		for _, l := range ev.Lines {
+			e.lockLines[l] = true
+		}
+	case obs.KindFinish:
+		// Close any open epoch and pin the covered cycles.
+		e.closeEpoch()
+		e.totalCycles = ev.When
+		e.finished = true
 	}
 }
 
 // classify maps one abort event to its class.
-func (e *Engine) classify(ev obs.AbortEvent) string {
+func (e *Engine) classify(ev *obs.Event) string {
 	if ev.Cause != "conflict" || ev.ConflictTid < 0 {
 		return ClassOther
 	}
@@ -306,9 +330,8 @@ func (e *Engine) closeEpoch() {
 	}
 }
 
-// ObserveAbort implements obs.TxObserver: classify, grow the graph, and
-// feed epoch detection.
-func (e *Engine) ObserveAbort(ev obs.AbortEvent) {
+// abort classifies one abort, grows the graph, and feeds epoch detection.
+func (e *Engine) abort(ev *obs.Event) {
 	e.advance(ev.When)
 	class := e.classify(ev)
 	e.classes[class]++
@@ -363,9 +386,8 @@ func (e *Engine) ObserveAbort(ev obs.AbortEvent) {
 	}
 }
 
-// ObserveCommit implements obs.TxObserver. A commit clears the committing
-// thread's taint: it escaped the cascade.
-func (e *Engine) ObserveCommit(when uint64, tid int) {
+// commit clears the committing thread's taint: it escaped the cascade.
+func (e *Engine) commit(when uint64, tid int) {
 	e.advance(when)
 	e.commits++
 	if e.open {
@@ -373,24 +395,8 @@ func (e *Engine) ObserveCommit(when uint64, tid int) {
 	}
 }
 
-// ObserveLock implements obs.TxObserver. Main-lock activity keeps an open
-// epoch alive — with a fair lock the queue of pending acquirers is exactly
-// what sustains the cascade. Auxiliary (SCM) transitions don't extend
-// epochs; they are tracked for the rejoin scorecard.
-func (e *Engine) ObserveLock(ev obs.LockEvent) {
-	if ev.Wait {
-		// A wait-phase event marks intent, not ownership: the lock is not
-		// held yet, so it neither advances nor extends an epoch.
-		return
-	}
-	e.advance(ev.When)
-	if !ev.Aux {
-		e.extend(ev.When)
-	}
-}
-
-// ObserveOp implements obs.TxObserver.
-func (e *Engine) ObserveOp(when uint64, tid int, spec, auxUsed bool) {
+// op counts one completed critical section.
+func (e *Engine) op(when uint64, tid int, spec, auxUsed bool) {
 	e.advance(when)
 	e.ops++
 	if spec {
@@ -412,18 +418,10 @@ func (e *Engine) ObserveOp(when uint64, tid int, spec, auxUsed bool) {
 	}
 }
 
-// ObserveFinish implements obs.TxObserver: close any open epoch and pin the
-// covered cycles.
-func (e *Engine) ObserveFinish(totalCycles uint64) {
-	e.closeEpoch()
-	e.totalCycles = totalCycles
-	e.finished = true
-}
-
 // Edges returns the retained causality edges (bounded by Config.MaxEdges).
 func (e *Engine) Edges() []Edge { return e.edges }
 
-// Report summarizes the engine's analysis. Valid after ObserveFinish (an
+// Report summarizes the engine's analysis. Valid after KindFinish (an
 // unfinished engine reports the state so far with any open epoch excluded).
 type Report struct {
 	// AbortsByClass tallies every observed abort by class.

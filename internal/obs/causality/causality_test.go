@@ -15,42 +15,52 @@ const (
 
 // flAbort is a fallback-rooted abort: aborter's non-transactional access to
 // the lock line doomed tid's transaction.
-func flAbort(when uint64, tid, aborter int) obs.AbortEvent {
-	return obs.AbortEvent{
-		When: when, Tid: tid, Cause: "conflict",
+func flAbort(when uint64, tid, aborter int) *obs.Event {
+	return &obs.Event{
+		Kind: obs.KindTxAbort, When: when, Tid: tid, Cause: "conflict",
 		ConflictLine: lockLine, ConflictTid: aborter, ConflictNT: true,
 		ConflictWhen: when - 10,
 	}
 }
 
 // specAbort is ordinary tx-vs-tx contention on a data line.
-func specAbort(when uint64, tid, aborter int) obs.AbortEvent {
-	return obs.AbortEvent{
-		When: when, Tid: tid, Cause: "conflict",
+func specAbort(when uint64, tid, aborter int) *obs.Event {
+	return &obs.Event{
+		Kind: obs.KindTxAbort, When: when, Tid: tid, Cause: "conflict",
 		ConflictLine: dataLine, ConflictTid: aborter, ConflictNT: false,
 		ConflictWhen: when - 10,
 	}
 }
 
+// op is a completed critical section by tid.
+func op(when uint64, tid int, spec, auxUsed bool) *obs.Event {
+	return &obs.Event{Kind: obs.KindOp, When: when, Tid: tid, Spec: spec, AuxUsed: auxUsed}
+}
+
+// finish ends the run at totalCycles.
+func finish(totalCycles uint64) *obs.Event {
+	return &obs.Event{Kind: obs.KindFinish, When: totalCycles}
+}
+
 func newEngine(cfg causality.Config) *causality.Engine {
 	e := causality.New(cfg)
-	e.ObserveLockLines([]int{lockLine})
+	e.Observe(&obs.Event{Kind: obs.KindLockLines, Lines: []int{lockLine}})
 	return e
 }
 
 func TestClassification(t *testing.T) {
 	e := newEngine(causality.Config{})
-	e.ObserveAbort(flAbort(1000, 1, 9))
-	e.ObserveAbort(obs.AbortEvent{ // NT access on a data line: the holder's body.
+	e.Observe(flAbort(1000, 1, 9))
+	e.Observe(&obs.Event{Kind: obs.KindTxAbort, // NT access on a data line: the holder's body.
 		When: 1100, Tid: 2, Cause: "conflict",
 		ConflictLine: dataLine, ConflictTid: 9, ConflictNT: true, ConflictWhen: 1090,
 	})
-	e.ObserveAbort(specAbort(1200, 3, 4))
-	e.ObserveAbort(obs.AbortEvent{When: 1300, Tid: 5, Cause: "capacity", ConflictLine: -1, ConflictTid: -1})
-	e.ObserveAbort(obs.AbortEvent{ // conflict without an identified aborter
+	e.Observe(specAbort(1200, 3, 4))
+	e.Observe(&obs.Event{Kind: obs.KindTxAbort, When: 1300, Tid: 5, Cause: "capacity", ConflictLine: -1, ConflictTid: -1})
+	e.Observe(&obs.Event{Kind: obs.KindTxAbort, // conflict without an identified aborter
 		When: 1400, Tid: 6, Cause: "conflict", ConflictLine: -1, ConflictTid: -1,
 	})
-	e.ObserveFinish(10_000)
+	e.Observe(finish(10_000))
 
 	r := e.Report()
 	want := map[string]uint64{
@@ -71,12 +81,12 @@ func TestClassification(t *testing.T) {
 // and so on — each link a chained root because the aborter was tainted.
 func TestEpochChainPromotion(t *testing.T) {
 	e := newEngine(causality.Config{})
-	e.ObserveAbort(flAbort(1000, 1, 9)) // root: depth[9]=0, victim 1 at depth 1
-	e.ObserveOp(1500, 9, false, false)  // the root's op completes non-speculatively
-	e.ObserveAbort(flAbort(2000, 2, 1)) // chained: 1 was a victim, now dooms 2 (depth 2)
-	e.ObserveOp(2500, 1, false, false)
-	e.ObserveAbort(flAbort(3000, 3, 2)) // chained: depth 3
-	e.ObserveFinish(4000)
+	e.Observe(flAbort(1000, 1, 9))       // root: depth[9]=0, victim 1 at depth 1
+	e.Observe(op(1500, 9, false, false)) // the root's op completes non-speculatively
+	e.Observe(flAbort(2000, 2, 1))       // chained: 1 was a victim, now dooms 2 (depth 2)
+	e.Observe(op(2500, 1, false, false))
+	e.Observe(flAbort(3000, 3, 2)) // chained: depth 3
+	e.Observe(finish(4000))
 
 	r := e.Report()
 	if len(r.Epochs) != 1 || r.StrayRoots != 0 {
@@ -111,11 +121,11 @@ func TestEpochChainPromotion(t *testing.T) {
 // root — must not be promoted to an epoch.
 func TestStarBurstStaysStray(t *testing.T) {
 	e := newEngine(causality.Config{})
-	e.ObserveAbort(flAbort(1000, 1, 9))
-	e.ObserveAbort(flAbort(1010, 2, 9))
-	e.ObserveAbort(flAbort(1020, 3, 9))
-	e.ObserveAbort(flAbort(1030, 4, 9)) // all doomed by untainted 9: chained = 0
-	e.ObserveFinish(2000)
+	e.Observe(flAbort(1000, 1, 9))
+	e.Observe(flAbort(1010, 2, 9))
+	e.Observe(flAbort(1020, 3, 9))
+	e.Observe(flAbort(1030, 4, 9)) // all doomed by untainted 9: chained = 0
+	e.Observe(finish(2000))
 
 	r := e.Report()
 	if len(r.Epochs) != 0 || r.StrayRoots != 1 {
@@ -134,13 +144,13 @@ func TestStarBurstStaysStray(t *testing.T) {
 // below ChainedFraction by background spec conflicts stay stray.
 func TestChainedFractionDemotion(t *testing.T) {
 	e := newEngine(causality.Config{}) // ChainedFraction 0.15
-	e.ObserveAbort(flAbort(1000, 1, 9))
+	e.Observe(flAbort(1000, 1, 9))
 	for i := 0; i < 19; i++ { // 19 spec conflicts inside the open epoch
-		e.ObserveAbort(specAbort(1100+uint64(i), 20+i, 40+i))
+		e.Observe(specAbort(1100+uint64(i), 20+i, 40+i))
 	}
-	e.ObserveAbort(flAbort(2000, 2, 1)) // chained (1 was a victim)
-	e.ObserveAbort(flAbort(2100, 3, 2)) // chained
-	e.ObserveFinish(3000)
+	e.Observe(flAbort(2000, 2, 1)) // chained (1 was a victim)
+	e.Observe(flAbort(2100, 3, 2)) // chained
+	e.Observe(finish(3000))
 
 	r := e.Report()
 	// 22 aborts, 2 chained: 0.09 < 0.15 even though 2 >= MinChained.
@@ -154,10 +164,10 @@ func TestChainedFractionDemotion(t *testing.T) {
 // a trickle of spec conflicts within the gap must not stop it from closing.
 func TestSpecConflictsDoNotExtend(t *testing.T) {
 	e := newEngine(causality.Config{GapCycles: 1000})
-	e.ObserveAbort(flAbort(1000, 1, 9))   // opens; last = 1000
-	e.ObserveAbort(specAbort(1800, 2, 3)) // counted, but last stays 1000
-	e.ObserveAbort(flAbort(2500, 4, 1))   // 2500-1000 > gap: closes first, re-roots
-	e.ObserveFinish(10_000)
+	e.Observe(flAbort(1000, 1, 9))   // opens; last = 1000
+	e.Observe(specAbort(1800, 2, 3)) // counted, but last stays 1000
+	e.Observe(flAbort(2500, 4, 1))   // 2500-1000 > gap: closes first, re-roots
+	e.Observe(finish(10_000))
 
 	r := e.Report()
 	// Both intervals die as strays (1-2 aborts, chained short), proving the
@@ -172,12 +182,12 @@ func TestSpecConflictsDoNotExtend(t *testing.T) {
 // evidence and do bridge gaps (the queue draining keeps the epoch alive).
 func TestMainLockActivityExtends(t *testing.T) {
 	e := newEngine(causality.Config{GapCycles: 1000})
-	e.ObserveAbort(flAbort(1000, 1, 9))
-	e.ObserveLock(obs.LockEvent{When: 1900, Tid: 9, Release: true}) // extends to 1900
-	e.ObserveAbort(flAbort(2500, 2, 1))                             // within gap of 1900: chained
-	e.ObserveLock(obs.LockEvent{When: 3000, Tid: 1})
-	e.ObserveAbort(flAbort(3800, 3, 2)) // chained
-	e.ObserveFinish(4000)
+	e.Observe(flAbort(1000, 1, 9))
+	e.Observe(&obs.Event{Kind: obs.KindLockRelease, When: 1900, Tid: 9}) // extends to 1900
+	e.Observe(flAbort(2500, 2, 1))                                       // within gap of 1900: chained
+	e.Observe(&obs.Event{Kind: obs.KindLockAcquire, When: 3000, Tid: 1})
+	e.Observe(flAbort(3800, 3, 2)) // chained
+	e.Observe(finish(4000))
 
 	r := e.Report()
 	if len(r.Epochs) != 1 {
@@ -191,10 +201,10 @@ func TestMainLockActivityExtends(t *testing.T) {
 	// Aux-lock transitions are not fallback evidence: same shape with Aux
 	// events must close at the gap.
 	e2 := newEngine(causality.Config{GapCycles: 1000})
-	e2.ObserveAbort(flAbort(1000, 1, 9))
-	e2.ObserveLock(obs.LockEvent{When: 1900, Tid: 9, Aux: true})
-	e2.ObserveAbort(flAbort(2500, 2, 1)) // 2500-1000 > gap: prior interval closed
-	e2.ObserveFinish(4000)
+	e2.Observe(flAbort(1000, 1, 9))
+	e2.Observe(&obs.Event{Kind: obs.KindAuxAcquire, When: 1900, Tid: 9})
+	e2.Observe(flAbort(2500, 2, 1)) // 2500-1000 > gap: prior interval closed
+	e2.Observe(finish(4000))
 	if r2 := e2.Report(); len(r2.Epochs) != 0 || r2.StrayRoots != 2 {
 		t.Fatalf("aux-extended epochs=%d stray=%d, want 0/2", len(r2.Epochs), r2.StrayRoots)
 	}
@@ -204,11 +214,11 @@ func TestMainLockActivityExtends(t *testing.T) {
 // thread's depth resets, so its later acquires root fresh rather than chain.
 func TestCommitClearsTaint(t *testing.T) {
 	e := newEngine(causality.Config{})
-	e.ObserveAbort(flAbort(1000, 1, 9)) // depth[1] = 1
-	e.ObserveCommit(1500, 1)            // 1 escapes speculatively
-	e.ObserveAbort(flAbort(2000, 2, 1)) // 1 dooms 2: NOT chained, depth[2] = 1
-	e.ObserveAbort(flAbort(2500, 3, 2)) // chained once
-	e.ObserveFinish(3000)
+	e.Observe(flAbort(1000, 1, 9))                                    // depth[1] = 1
+	e.Observe(&obs.Event{Kind: obs.KindTxCommit, When: 1500, Tid: 1}) // 1 escapes speculatively
+	e.Observe(flAbort(2000, 2, 1))                                    // 1 dooms 2: NOT chained, depth[2] = 1
+	e.Observe(flAbort(2500, 3, 2))                                    // chained once
+	e.Observe(finish(3000))
 
 	r := e.Report()
 	if len(r.Epochs) != 0 || r.StrayRoots != 1 {
@@ -232,13 +242,13 @@ func TestCommitClearsTaint(t *testing.T) {
 // lemming.
 func TestInEpochSpecRatioGatesVerdict(t *testing.T) {
 	e := newEngine(causality.Config{})
-	e.ObserveAbort(flAbort(1000, 1, 9))
-	e.ObserveAbort(flAbort(1500, 2, 1))
-	e.ObserveAbort(flAbort(2000, 3, 2))
+	e.Observe(flAbort(1000, 1, 9))
+	e.Observe(flAbort(1500, 2, 1))
+	e.Observe(flAbort(2000, 3, 2))
 	for i := uint64(0); i < 10; i++ { // speculation keeps succeeding inside
-		e.ObserveOp(1100+100*i, 5, true, false)
+		e.Observe(op(1100+100*i, 5, true, false))
 	}
-	e.ObserveFinish(2500)
+	e.Observe(finish(2500))
 
 	r := e.Report()
 	if len(r.Epochs) != 1 {
@@ -257,10 +267,10 @@ func TestInEpochSpecRatioGatesVerdict(t *testing.T) {
 
 func TestAuxRejoinRate(t *testing.T) {
 	e := newEngine(causality.Config{})
-	e.ObserveOp(100, 0, true, true)  // serialized via aux, still committed spec
-	e.ObserveOp(200, 1, false, true) // serialized and gave up speculation
-	e.ObserveOp(300, 2, true, false) // never used aux
-	e.ObserveFinish(1000)
+	e.Observe(op(100, 0, true, true))  // serialized via aux, still committed spec
+	e.Observe(op(200, 1, false, true)) // serialized and gave up speculation
+	e.Observe(op(300, 2, true, false)) // never used aux
+	e.Observe(finish(1000))
 	r := e.Report()
 	if r.AuxOps != 2 || r.AuxRejoins != 1 {
 		t.Fatalf("aux ops %d rejoins %d, want 2/1", r.AuxOps, r.AuxRejoins)
@@ -275,9 +285,9 @@ func TestAuxRejoinRate(t *testing.T) {
 
 func TestFlowEventsPairUp(t *testing.T) {
 	e := newEngine(causality.Config{})
-	e.ObserveAbort(flAbort(1000, 1, 9))
-	e.ObserveAbort(specAbort(1200, 2, 3))
-	e.ObserveFinish(2000)
+	e.Observe(flAbort(1000, 1, 9))
+	e.Observe(specAbort(1200, 2, 3))
+	e.Observe(finish(2000))
 
 	evs := e.FlowEvents()
 	if len(evs) != 4 {
@@ -310,9 +320,9 @@ func TestFlowEventsPairUp(t *testing.T) {
 func TestMaxEdgesBound(t *testing.T) {
 	e := newEngine(causality.Config{MaxEdges: 3})
 	for i := uint64(0); i < 10; i++ {
-		e.ObserveAbort(specAbort(1000+i, int(i%4), int(4+i%4)))
+		e.Observe(specAbort(1000+i, int(i%4), int(4+i%4)))
 	}
-	e.ObserveFinish(2000)
+	e.Observe(finish(2000))
 	if got := len(e.Edges()); got != 3 {
 		t.Fatalf("edges = %d, want bound 3", got)
 	}
@@ -327,16 +337,16 @@ func TestMaxEdgesBound(t *testing.T) {
 func TestAttachMirrorsRegistry(t *testing.T) {
 	col := obs.NewCollector("hle", "mcs", 1000)
 	eng := causality.Attach(col, causality.Config{})
-	if col.Observer() != obs.TxObserver(eng) {
-		t.Fatal("Attach must register the engine as the collector's observer")
+	if sinks := col.Sinks(); len(sinks) != 1 || sinks[0] != obs.Sink(eng) {
+		t.Fatal("Attach must attach the engine as the collector's sink")
 	}
 	col.SetLockLines([]int{lockLine})
 
-	col.TxAbort(flAbort(1000, 1, 9))
-	col.TxAbort(flAbort(2000, 2, 1))
-	col.TxAbort(flAbort(3000, 3, 2))
-	col.TxAbort(obs.AbortEvent{When: 3100, Tid: 4, Cause: "capacity", ConflictLine: -1, ConflictTid: -1})
-	col.Op(3200, 9, false, 500, 1, false, 0)
+	col.Observe(flAbort(1000, 1, 9))
+	col.Observe(flAbort(2000, 2, 1))
+	col.Observe(flAbort(3000, 3, 2))
+	col.Observe(&obs.Event{Kind: obs.KindTxAbort, When: 3100, Tid: 4, Cause: "capacity", ConflictLine: -1, ConflictTid: -1})
+	col.Observe(&obs.Event{Kind: obs.KindOp, Start: 2700, When: 3200, Tid: 9, Attempts: 2, Aborts: 1})
 	col.Finish(4000)
 
 	base := col.BaseLabels()
@@ -374,9 +384,9 @@ func TestAttachMirrorsRegistry(t *testing.T) {
 // handles, and an unfinished engine reports only closed state.
 func TestDetachedEngineSafe(t *testing.T) {
 	e := newEngine(causality.Config{})
-	e.ObserveAbort(flAbort(1000, 1, 9))
-	e.ObserveAbort(flAbort(2000, 2, 1))
-	e.ObserveAbort(flAbort(2500, 3, 2))
+	e.Observe(flAbort(1000, 1, 9))
+	e.Observe(flAbort(2000, 2, 1))
+	e.Observe(flAbort(2500, 3, 2))
 	// No Finish: the open epoch is excluded and TotalCycles is 0.
 	r := e.Report()
 	if len(r.Epochs) != 0 || r.TotalCycles != 0 || r.Lemming {

@@ -40,129 +40,18 @@ const (
 	MetricBudgetExhausted = "adaptive_budget_exhausted_total"
 )
 
-// AbortEvent is the full payload of one transactional abort as the htm
-// layer reports it — the raw material for abort-causality analysis. It
-// extends the counted fields with the victim's identity and, for conflict
-// aborts, when/where/by-whom the dooming access happened.
-type AbortEvent struct {
-	// When is the victim's virtual time at the abort (XABORT retirement).
-	When uint64
-	// Tid is the victim: the proc whose transaction aborted.
-	Tid int
-	// Cause is the abort cause (htm.Cause.String()).
-	Cause string
-	// ReadLines / WriteLines are the set sizes reached before the abort.
-	ReadLines, WriteLines int
-	// ConflictLine is the cache line the dooming conflict happened on, or
-	// -1 when the abort carries no location.
-	ConflictLine int
-	// ConflictTid is the aborter: the proc whose access doomed the victim,
-	// or -1 when unknown.
-	ConflictTid int
-	// ConflictNT is true when the dooming access was non-transactional — a
-	// real lock acquisition or a lock holder's plain accesses, the roots of
-	// fallback-induced cascades.
-	ConflictNT bool
-	// ConflictWhen is the aborter's virtual time at the dooming access
-	// (before When: the victim observes the doom at its next step).
-	ConflictWhen uint64
-	// Code is the XABORT payload of an explicit abort (core's
-	// CodeSLRLockHeld/CodeNonSpecRun/CodeLockBusy), 0 otherwise — the datum
-	// that lets observers classify lock-induced aborts the way the adaptive
-	// policy does.
-	Code int
-}
-
-// LockEvent is one non-speculative lock transition reported by the
-// instrumented schemes.
-type LockEvent struct {
-	// When is the holder's virtual time at the transition.
-	When uint64
-	// Tid is the acquiring/releasing proc.
-	Tid int
-	// Aux marks an SCM auxiliary-lock transition (false = the main lock).
-	Aux bool
-	// Release marks the release side of the pair.
-	Release bool
-	// Wait marks the start of a blocking acquisition: the proc is about to
-	// call Lock and When is when it began waiting (the matching non-Wait
-	// event arrives once the lock is held). Observers tracking lock
-	// *ownership* must ignore Wait events.
-	Wait bool
-}
-
-// TxObserver receives the collector's raw per-event feed — the hook the
-// abort-causality engine (obs/causality) attaches to. Calls follow the
-// simulator's single-runner invariant: they arrive serialized and in
-// near-monotone virtual-time order (within one scheduler quantum).
-type TxObserver interface {
-	// ObserveCommit is called for every transactional commit.
-	ObserveCommit(when uint64, tid int)
-	// ObserveAbort is called for every transactional abort.
-	ObserveAbort(ev AbortEvent)
-	// ObserveLock is called for every non-speculative lock transition.
-	ObserveLock(ev LockEvent)
-	// ObserveOp is called for every completed critical section.
-	ObserveOp(when uint64, tid int, spec, auxUsed bool)
-	// ObserveLockLines tells the observer which cache lines belong to the
-	// run's lock protocol (called before the run starts, when known).
-	ObserveLockLines(lines []int)
-	// ObserveFinish marks the end of the run at the given covered cycles;
-	// the observer finalizes any open analysis state.
-	ObserveFinish(totalCycles uint64)
-}
-
-// TextReporter is implemented by observers that can append a human-readable
+// TextReporter is implemented by sinks that can append a human-readable
 // report to the collector's text dump (e.g. the causality scorecard).
 type TextReporter interface {
 	WriteText(w io.Writer)
 }
 
-// OpEvent is the full payload of one completed critical section — the
-// sealing record of an attempt chain. It carries every Outcome facet the
-// scheme reported plus the chain's start time, so an observer can account
-// the section's whole retry history without tracking scheme internals.
-type OpEvent struct {
-	// Start is the proc's virtual time entering Critical (the chain's first
-	// cycle); When is the time the section completed (the chain's last).
-	Start, When uint64
-	// Tid is the executing proc.
-	Tid int
-	// Spec is true when the section committed speculatively.
-	Spec bool
-	// Attempts counts executions of the body (speculative and not); Aborts
-	// counts the failed speculative ones.
-	Attempts, Aborts int
-	// AuxUsed / AuxDwell describe the SCM serializing path: whether it was
-	// entered and for how many cycles auxiliary locks were held.
-	AuxUsed  bool
-	AuxDwell uint64
-	// Forfeited / ForfeitEntered / ForfeitExited are the adaptive-policy
-	// facets: ran inside a forfeit window / opened one / closed one.
-	Forfeited, ForfeitEntered, ForfeitExited bool
-	// ExhaustedClass names the abort class whose budget ran out ("" unless
-	// ForfeitEntered).
-	ExhaustedClass string
-}
-
-// AttemptObserver is an optional extension of TxObserver for observers that
-// need attempt-start events (the flight recorder): ObserveTxBegin is called
-// when a transactional attempt begins, before any of its commits or aborts.
-type AttemptObserver interface {
-	ObserveTxBegin(when uint64, tid int)
-}
-
-// OpDetailObserver is an optional extension of TxObserver: ObserveOpDetail
-// is called after ObserveOp with the section's full payload, sealing the
-// attempt chain the preceding events belong to.
-type OpDetailObserver interface {
-	ObserveOpDetail(ev OpEvent)
-}
-
-// Collector bundles the observability sinks one instrumented run feeds: the
-// registry, the conflict hot-line profiler and the windowed time series.
-// A nil *Collector is a valid no-op sink, mirroring *trace.Tracer, so the
-// htm and core hot paths pay a single nil check when observability is off.
+// Collector is the metrics sink of one instrumented run: it feeds the
+// registry, the conflict hot-line profiler and the windowed time series
+// from the event stream, and forwards every event to the sinks attached to
+// it (the causality engine, the flight recorder, the modelcheck oracle).
+// A nil *Collector is a valid no-op sink, so the htm and core hot paths pay
+// a single nil check when observability is off.
 type Collector struct {
 	// Reg is the metrics registry.
 	Reg *Registry
@@ -172,15 +61,11 @@ type Collector struct {
 	Series *Series
 	// base carries the run's identity labels (scheme, lock).
 	base Labels
-	// obsv, when non-nil, receives the raw event feed.
-	obsv TxObserver
-	// attObsv / opObsv cache the observer's optional extensions, resolved
-	// once at SetObserver so the hot path pays a nil check, not a type
-	// assertion.
-	attObsv AttemptObserver
-	opObsv  OpDetailObserver
-	// lockLines is retained so an observer attached late still learns them.
-	lockLines []int
+	// sinks receive every event, in attachment order.
+	sinks []Sink
+	// ev is the event SetLockLines and Finish emit, kept here so emitting
+	// never allocates.
+	ev Event
 
 	// Pre-resolved handles for the per-transaction hot path.
 	commits       *Counter
@@ -195,6 +80,10 @@ type Collector struct {
 	retries       *Histogram
 	auxEntries    *Counter
 	auxDwell      *Histogram
+
+	// lazy holds the handles resolved on first use (see counter), keyed by
+	// metric name and label value.
+	lazy map[[2]string]*Counter
 }
 
 // NewCollector builds a collector labelled with the run's scheme and lock,
@@ -226,6 +115,7 @@ func NewCollector(scheme, lock string, windowCycles uint64) *Collector {
 		retries:       reg.Histogram(MetricRetries, base),
 		auxEntries:    reg.Counter(MetricAuxEntries, base),
 		auxDwell:      reg.Histogram(MetricAuxDwell, base),
+		lazy:          map[[2]string]*Counter{},
 	}
 }
 
@@ -237,226 +127,116 @@ func (c *Collector) BaseLabels() Labels {
 	return c.base
 }
 
-// SetObserver attaches a raw-event observer (nil detaches), replacing any
-// previous one. If the run's lock lines are already known they are replayed
-// to the new observer.
-func (c *Collector) SetObserver(o TxObserver) {
-	if c == nil {
+// Attach adds s to the sinks every event is forwarded to, after those
+// already attached. Nil receivers and sinks are no-ops.
+func (c *Collector) Attach(s Sink) {
+	if c == nil || s == nil {
 		return
 	}
-	c.obsv = o
-	c.attObsv, _ = o.(AttemptObserver)
-	c.opObsv, _ = o.(OpDetailObserver)
-	if o != nil && c.lockLines != nil {
-		o.ObserveLockLines(c.lockLines)
-	}
+	c.sinks = append(c.sinks, s)
 }
 
-// AddObserver attaches o alongside any existing observer: the first
-// attachment behaves like SetObserver, later ones fan the feed out through a
-// Tee — so the causality engine and the flight recorder can share one
-// collector. Nil receivers and observers are no-ops.
-func (c *Collector) AddObserver(o TxObserver) {
-	if c == nil || o == nil {
-		return
-	}
-	switch cur := c.obsv.(type) {
-	case nil:
-		c.SetObserver(o)
-	case Tee:
-		c.SetObserver(append(cur, o))
-	default:
-		c.SetObserver(Tee{cur, o})
-	}
-}
-
-// Observer returns the attached observer, possibly nil.
-func (c *Collector) Observer() TxObserver {
+// Sinks returns the attached sinks in attachment order.
+func (c *Collector) Sinks() []Sink {
 	if c == nil {
 		return nil
 	}
-	return c.obsv
+	return c.sinks
 }
 
-// SetLockLines records the cache lines the run's lock protocol occupies and
-// forwards them to the observer. Safe on a nil receiver.
-func (c *Collector) SetLockLines(lines []int) {
+// Observe implements Sink: it feeds the registry, hot lines and series from
+// ev, then forwards ev to every attached sink. Safe on a nil receiver.
+func (c *Collector) Observe(ev *Event) {
 	if c == nil {
 		return
 	}
-	c.lockLines = lines
-	if c.obsv != nil {
-		c.obsv.ObserveLockLines(lines)
+	switch ev.Kind {
+	case KindTxCommit:
+		c.commits.Inc()
+		c.readAtCommit.Observe(uint64(ev.ReadLines))
+		c.writeAtCommit.Observe(uint64(ev.WriteLines))
+		c.Series.RecordCommit(ev.When)
+	case KindTxAbort:
+		c.counter(MetricAborts, "cause", ev.Cause).Inc()
+		c.readAtAbort.Observe(uint64(ev.ReadLines))
+		c.writeAtAbort.Observe(uint64(ev.WriteLines))
+		c.Hot.Record(ev.ConflictLine, ev.ConflictTid)
+		c.Series.RecordAbort(ev.When)
+	case KindOp:
+		c.op(ev)
+	}
+	for _, s := range c.sinks {
+		s.Observe(ev)
 	}
 }
 
-// TxBegin records proc tid starting a transactional attempt at virtual time
-// when (XBEGIN retirement). Only AttemptObserver extensions see it; the
-// counted feed is unchanged. Safe on a nil receiver.
-func (c *Collector) TxBegin(when uint64, tid int) {
-	if c == nil || c.attObsv == nil {
-		return
-	}
-	c.attObsv.ObserveTxBegin(when, tid)
-}
-
-// TxCommit records proc tid's transactional commit at virtual time when,
-// with the committed read/write-set sizes in cache lines. Safe on a nil
-// receiver.
-func (c *Collector) TxCommit(when uint64, tid, readLines, writeLines int) {
-	if c == nil {
-		return
-	}
-	c.commits.Inc()
-	c.readAtCommit.Observe(uint64(readLines))
-	c.writeAtCommit.Observe(uint64(writeLines))
-	c.Series.RecordCommit(when)
-	if c.obsv != nil {
-		c.obsv.ObserveCommit(when, tid)
-	}
-}
-
-// TxAbort records one transactional abort: the cause, the set sizes reached
-// before the abort, and — for conflict aborts — where, when and by whom the
-// dooming access happened (negative ids when unknown). Safe on a nil
-// receiver.
-func (c *Collector) TxAbort(ev AbortEvent) {
-	if c == nil {
-		return
-	}
-	c.Reg.Counter(MetricAborts, c.base.With("cause", ev.Cause)).Inc()
-	c.readAtAbort.Observe(uint64(ev.ReadLines))
-	c.writeAtAbort.Observe(uint64(ev.WriteLines))
-	c.Hot.Record(ev.ConflictLine, ev.ConflictTid)
-	c.Series.RecordAbort(ev.When)
-	if c.obsv != nil {
-		c.obsv.ObserveAbort(ev)
-	}
-}
-
-// LockWaiting records proc tid starting a blocking main-lock acquisition
-// (the wait begins; LockAcquired follows once the lock is held). Safe on a
-// nil receiver.
-func (c *Collector) LockWaiting(when uint64, tid int) {
-	if c == nil || c.obsv == nil {
-		return
-	}
-	c.obsv.ObserveLock(LockEvent{When: when, Tid: tid, Wait: true})
-}
-
-// AuxWaiting records proc tid starting a blocking auxiliary-lock
-// acquisition. Safe on a nil receiver.
-func (c *Collector) AuxWaiting(when uint64, tid int) {
-	if c == nil || c.obsv == nil {
-		return
-	}
-	c.obsv.ObserveLock(LockEvent{When: when, Tid: tid, Aux: true, Wait: true})
-}
-
-// LockAcquired records proc tid's non-speculative main-lock acquisition.
-// Safe on a nil receiver.
-func (c *Collector) LockAcquired(when uint64, tid int) {
-	if c == nil || c.obsv == nil {
-		return
-	}
-	c.obsv.ObserveLock(LockEvent{When: when, Tid: tid})
-}
-
-// LockReleased records the matching main-lock release. Safe on a nil
-// receiver.
-func (c *Collector) LockReleased(when uint64, tid int) {
-	if c == nil || c.obsv == nil {
-		return
-	}
-	c.obsv.ObserveLock(LockEvent{When: when, Tid: tid, Release: true})
-}
-
-// AuxAcquired records proc tid entering an SCM serializing path (auxiliary
-// lock acquired). Safe on a nil receiver.
-func (c *Collector) AuxAcquired(when uint64, tid int) {
-	if c == nil || c.obsv == nil {
-		return
-	}
-	c.obsv.ObserveLock(LockEvent{When: when, Tid: tid, Aux: true})
-}
-
-// AuxReleased records the matching auxiliary-lock release. Safe on a nil
-// receiver.
-func (c *Collector) AuxReleased(when uint64, tid int) {
-	if c == nil || c.obsv == nil {
-		return
-	}
-	c.obsv.ObserveLock(LockEvent{When: when, Tid: tid, Aux: true, Release: true})
-}
-
-// Op records proc tid's completed critical section finishing at virtual
-// time when: whether it committed speculatively, its start-to-finish
-// latency, its retry count (attempts beyond the first), and — for SCM
-// schemes — whether it entered the serializing path and for how many cycles
-// it held the auxiliary lock. Safe on a nil receiver.
-func (c *Collector) Op(when uint64, tid int, spec bool, latency uint64, retries int, auxUsed bool, auxDwell uint64) {
-	if c == nil {
-		return
-	}
-	if spec {
+// op records one completed critical section: its path, start-to-finish
+// latency and retries (attempts beyond the first), the SCM serializing
+// path's auxiliary-lock dwell, and the adaptive-policy facets.
+func (c *Collector) op(ev *Event) {
+	latency := ev.When - ev.Start
+	if ev.Spec {
 		c.opsSpec.Inc()
 		c.latSpec.Observe(latency)
 	} else {
 		c.opsNonSpec.Inc()
 		c.latNonSpec.Observe(latency)
 	}
-	if retries < 0 {
-		retries = 0
-	}
-	c.retries.Observe(uint64(retries))
-	if auxUsed {
+	c.retries.Observe(uint64(max(ev.Attempts-1, 0)))
+	if ev.AuxUsed {
 		c.auxEntries.Inc()
-		c.auxDwell.Observe(auxDwell)
+		c.auxDwell.Observe(ev.AuxDwell)
 	}
-	c.Series.RecordOp(when, spec)
-	if c.obsv != nil {
-		c.obsv.ObserveOp(when, tid, spec, auxUsed)
+	c.Series.RecordOp(ev.When, ev.Spec)
+	if ev.Forfeited {
+		c.counter(MetricForfeitOps, "", "").Inc()
+	}
+	if ev.ForfeitEntered {
+		c.counter(MetricForfeitEntries, "", "").Inc()
+		c.counter(MetricBudgetExhausted, "class", ev.ExhaustedClass).Inc()
+	}
+	if ev.ForfeitExited {
+		c.counter(MetricForfeitExits, "", "").Inc()
 	}
 }
 
-// OpDetail seals one completed critical section's attempt chain with its
-// full payload. Only OpDetailObserver extensions see it; the counted feed
-// already got the section through Op. Safe on a nil receiver.
-func (c *Collector) OpDetail(ev OpEvent) {
-	if c == nil || c.opObsv == nil {
-		return
+// counter returns the counter of name with the base labels plus key=value
+// (none when key is ""), registering it on first use. Which of these
+// families exist shows in every dump — the abort causes a run met, and
+// adaptive_* only on adaptive runs — so they are not resolved up front.
+func (c *Collector) counter(name, key, value string) *Counter {
+	k := [2]string{name, value}
+	h := c.lazy[k]
+	if h == nil {
+		ls := c.base
+		if key != "" {
+			ls = ls.With(key, value)
+		}
+		h = c.Reg.Counter(name, ls)
+		c.lazy[k] = h
 	}
-	c.opObsv.ObserveOpDetail(ev)
+	return h
 }
 
-// AdaptiveOp records the adaptive-policy facets of one completed critical
-// section: whether it ran forfeited (elision skipped inside a window), and
-// whether it opened (exhausting the named abort class's retry budget) or
-// closed a forfeit window. Counters are registered lazily, so non-adaptive
-// runs carry no adaptive_* families. Safe on a nil receiver.
-func (c *Collector) AdaptiveOp(forfeited, entered, exited bool, class string) {
+// SetLockLines emits the cache lines the run's lock protocol occupies as a
+// KindLockLines event. Safe on a nil receiver.
+func (c *Collector) SetLockLines(lines []int) {
 	if c == nil {
 		return
 	}
-	if forfeited {
-		c.Reg.Counter(MetricForfeitOps, c.base).Inc()
-	}
-	if entered {
-		c.Reg.Counter(MetricForfeitEntries, c.base).Inc()
-		c.Reg.Counter(MetricBudgetExhausted, c.base.With("class", class)).Inc()
-	}
-	if exited {
-		c.Reg.Counter(MetricForfeitExits, c.base).Inc()
-	}
+	c.ev = Event{Kind: KindLockLines, Lines: lines}
+	c.Observe(&c.ev)
 }
 
-// Finish marks the end of the run at the given covered cycles, letting the
-// observer finalize (close open epochs, pin totals). Safe on a nil receiver.
+// Finish emits the end of the run at the given covered cycles as a
+// KindFinish event, letting the sinks finalize (close open epochs, pin
+// totals). Safe on a nil receiver.
 func (c *Collector) Finish(totalCycles uint64) {
-	if c == nil || c.obsv == nil {
+	if c == nil {
 		return
 	}
-	c.obsv.ObserveFinish(totalCycles)
+	c.ev = Event{Kind: KindFinish, When: totalCycles}
+	c.Observe(&c.ev)
 }
 
 // SetGauge sets a run-level gauge (e.g. cycles covered, thread count) with
@@ -469,10 +249,10 @@ func (c *Collector) SetGauge(name string, v int64) {
 }
 
 // WriteText dumps the registry, the hot-line table (top hotN; 0 keeps the
-// default of 16), the time series and — when the attached observer can
-// report — its appended report (e.g. the causality scorecard), as one
-// human-readable report. annotate, when non-nil, labels known cache lines
-// in the hot-line table.
+// default of 16), the time series and — for each attached sink that can
+// report, in attachment order — its appended report (e.g. the causality
+// scorecard), as one human-readable report. annotate, when non-nil, labels
+// known cache lines in the hot-line table.
 func (c *Collector) WriteText(w io.Writer, hotN int, annotate func(line int) string) {
 	if c == nil {
 		return
@@ -483,13 +263,15 @@ func (c *Collector) WriteText(w io.Writer, hotN int, annotate func(line int) str
 	c.Reg.WriteText(w)
 	c.Hot.WriteText(w, hotN, annotate)
 	c.Series.WriteText(w)
-	if tr, ok := c.obsv.(TextReporter); ok {
-		tr.WriteText(w)
+	for _, s := range c.sinks {
+		if tr, ok := s.(TextReporter); ok {
+			tr.WriteText(w)
+		}
 	}
 }
 
 // WriteCSV dumps the registry and the time series in CSV form (two tables
-// separated by a blank line). Observer-registered metrics (causality epochs
+// separated by a blank line). Sink-registered metrics (causality epochs
 // and depth/duration histograms) appear in the registry table.
 func (c *Collector) WriteCSV(w io.Writer) {
 	if c == nil {

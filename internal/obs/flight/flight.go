@@ -43,64 +43,14 @@ import (
 	"elision/internal/obs"
 )
 
-// Kind classifies one recorded event.
-type Kind uint8
-
-// Event kinds, in the order the feed produces them within an attempt.
-const (
-	// KindTxBegin marks a speculative attempt's start.
-	KindTxBegin Kind = iota + 1
-	// KindCommit marks a speculative attempt's commit.
-	KindCommit
-	// KindAbort marks a speculative attempt's abort; Class carries the
-	// adaptive-policy abort class.
-	KindAbort
-	// KindLockWait / KindLockAcquire / KindLockRelease are the fallback
-	// main-lock phases: wait begins, lock held, lock released.
-	KindLockWait
-	KindLockAcquire
-	KindLockRelease
-	// KindAuxWait / KindAuxAcquire / KindAuxRelease are the SCM
-	// auxiliary-lock phases.
-	KindAuxWait
-	KindAuxAcquire
-	KindAuxRelease
-)
-
-// String implements fmt.Stringer (chronicle rendering).
-func (k Kind) String() string {
-	switch k {
-	case KindTxBegin:
-		return "tx-begin"
-	case KindCommit:
-		return "commit"
-	case KindAbort:
-		return "abort"
-	case KindLockWait:
-		return "lock-wait"
-	case KindLockAcquire:
-		return "lock-acquire"
-	case KindLockRelease:
-		return "lock-release"
-	case KindAuxWait:
-		return "aux-wait"
-	case KindAuxAcquire:
-		return "aux-acquire"
-	case KindAuxRelease:
-		return "aux-release"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
 // Event is one compact flight-recorder record: 16 bytes, appended to the
 // owning thread's buffer in its own virtual-time order.
 type Event struct {
 	// When is the owning proc's virtual time.
 	When uint64
-	// Kind classifies the event.
-	Kind Kind
-	// Class is the abort class (KindAbort only; ClassNone otherwise).
+	// Kind classifies the event: an attempt or lock-phase kind.
+	Kind obs.Kind
+	// Class is the abort class (obs.KindTxAbort only; ClassNone otherwise).
 	Class core.AbortClass
 }
 
@@ -112,7 +62,7 @@ type Chain struct {
 	// Start / End bound the chain in the thread's virtual time.
 	Start, End uint64
 	// Spec, Attempts, Aborts, AuxUsed, AuxDwell, Forfeited, ForfeitEntered,
-	// ForfeitExited and ExhaustedClass mirror the sealing OpEvent.
+	// ForfeitExited and ExhaustedClass mirror the sealing obs.KindOp event.
 	Spec             bool
 	Attempts, Aborts int
 	AuxUsed          bool
@@ -205,7 +155,7 @@ const (
 )
 
 // classify maps an abort event's (cause, code) to its adaptive-policy
-// class, mirroring core.ClassifyAbort over the collector feed's string
+// class, mirroring core.ClassifyAbort over the event stream's string
 // causes.
 func classify(cause string, code int) core.AbortClass {
 	switch cause {
@@ -250,9 +200,9 @@ type lane struct {
 	seq    int
 }
 
-// Recorder is the flight recorder. Attach one to a collector with Attach;
-// it implements the TxObserver feed plus the attempt/op-detail extensions.
-// The simulator's single-runner invariant serializes all calls.
+// Recorder is the flight recorder, an obs.Sink. Attach one to a collector
+// with Attach. The simulator's single-runner invariant serializes all
+// calls.
 type Recorder struct {
 	col *obs.Collector
 	cfg Config
@@ -261,7 +211,7 @@ type Recorder struct {
 	chains []*Chain
 	sealed int
 
-	// Aggregates, flushed into the registry at ObserveFinish.
+	// Aggregates, flushed into the registry at KindFinish.
 	cycles        [numBuckets]uint64
 	abortsByClass [core.NumAbortClasses]uint64
 	events        uint64
@@ -275,15 +225,13 @@ type Recorder struct {
 }
 
 var (
-	_ obs.TxObserver       = (*Recorder)(nil)
-	_ obs.AttemptObserver  = (*Recorder)(nil)
-	_ obs.OpDetailObserver = (*Recorder)(nil)
-	_ obs.TextReporter     = (*Recorder)(nil)
+	_ obs.Sink         = (*Recorder)(nil)
+	_ obs.TextReporter = (*Recorder)(nil)
 )
 
-// Attach builds a recorder over col's feed and registers it *alongside* any
-// observer already attached (the causality engine and the recorder share
-// one collector). Returns nil on a nil collector.
+// Attach builds a recorder over col's event stream and attaches it to col
+// after any sink already attached (the causality engine and the recorder
+// share one collector). Returns nil on a nil collector.
 func Attach(col *obs.Collector, cfg Config) *Recorder {
 	if col == nil {
 		return nil
@@ -299,7 +247,7 @@ func Attach(col *obs.Collector, cfg Config) *Recorder {
 		chainNonSpec:  col.Reg.Histogram(MetricChainCycles, base.With("path", "nonspec")),
 		chainAttempts: col.Reg.Histogram(MetricChainAttempts, base),
 	}
-	col.AddObserver(r)
+	col.Attach(r)
 	return r
 }
 
@@ -318,50 +266,25 @@ func (r *Recorder) record(tid int, ev Event) {
 	r.events++
 }
 
-// ObserveTxBegin implements obs.AttemptObserver.
-func (r *Recorder) ObserveTxBegin(when uint64, tid int) {
-	r.record(tid, Event{When: when, Kind: KindTxBegin, Class: core.ClassNone})
-}
-
-// ObserveCommit implements obs.TxObserver.
-func (r *Recorder) ObserveCommit(when uint64, tid int) {
-	r.record(tid, Event{When: when, Kind: KindCommit, Class: core.ClassNone})
-}
-
-// ObserveAbort implements obs.TxObserver.
-func (r *Recorder) ObserveAbort(ev obs.AbortEvent) {
-	r.record(ev.Tid, Event{When: ev.When, Kind: KindAbort, Class: classify(ev.Cause, ev.Code)})
-}
-
-// ObserveLock implements obs.TxObserver.
-func (r *Recorder) ObserveLock(ev obs.LockEvent) {
-	var k Kind
-	switch {
-	case ev.Wait && ev.Aux:
-		k = KindAuxWait
-	case ev.Wait:
-		k = KindLockWait
-	case ev.Aux && ev.Release:
-		k = KindAuxRelease
-	case ev.Aux:
-		k = KindAuxAcquire
-	case ev.Release:
-		k = KindLockRelease
-	default:
-		k = KindLockAcquire
+// Observe implements obs.Sink: record each attempt and lock-phase event
+// on its thread's open chain, seal the chain on KindOp, and flush the
+// aggregates on KindFinish.
+func (r *Recorder) Observe(ev *obs.Event) {
+	switch ev.Kind {
+	case obs.KindTxBegin, obs.KindTxCommit, obs.KindLockWait, obs.KindLockAcquire,
+		obs.KindLockRelease, obs.KindAuxWait, obs.KindAuxAcquire, obs.KindAuxRelease:
+		r.record(ev.Tid, Event{When: ev.When, Kind: ev.Kind, Class: core.ClassNone})
+	case obs.KindTxAbort:
+		r.record(ev.Tid, Event{When: ev.When, Kind: ev.Kind, Class: classify(ev.Cause, ev.Code)})
+	case obs.KindOp:
+		r.seal(ev)
+	case obs.KindFinish:
+		r.flush()
 	}
-	r.record(ev.Tid, Event{When: ev.When, Kind: k, Class: core.ClassNone})
 }
 
-// ObserveOp implements obs.TxObserver (the chain seals on the richer
-// ObserveOpDetail).
-func (r *Recorder) ObserveOp(when uint64, tid int, spec, auxUsed bool) {}
-
-// ObserveLockLines implements obs.TxObserver.
-func (r *Recorder) ObserveLockLines(lines []int) {}
-
-// ObserveOpDetail implements obs.OpDetailObserver: seal tid's open chain.
-func (r *Recorder) ObserveOpDetail(ev obs.OpEvent) {
+// seal closes ev.Tid's open chain with the section's payload.
+func (r *Recorder) seal(ev *obs.Event) {
 	ln := r.lane(ev.Tid)
 	c := Chain{
 		Tid:            ev.Tid,
@@ -401,10 +324,12 @@ func (r *Recorder) ObserveOpDetail(ev obs.OpEvent) {
 	}
 	r.sealed++
 
-	// Retain the raw chain while under the cap.
+	// Retain the raw chain while under the cap. Only the retained copy is
+	// allocated: an aggregates-only recorder keeps c on the stack.
 	if len(r.chains) < r.cfg.MaxChains {
-		c.Events = append([]Event(nil), events...)
-		r.chains = append(r.chains, &c)
+		kept := c
+		kept.Events = append([]Event(nil), events...)
+		r.chains = append(r.chains, &kept)
 	} else {
 		r.truncated++
 	}
@@ -432,14 +357,14 @@ func (r *Recorder) account(c *Chain, events []Event, acct *[numBuckets]uint64) {
 	}
 	for _, ev := range events {
 		switch ev.Kind {
-		case KindTxBegin:
+		case obs.KindTxBegin:
 			txStart, txOpen = ev.When, true
-		case KindCommit:
+		case obs.KindTxCommit:
 			if txOpen {
 				add(bucketCommit, ev.When-txStart)
 				txOpen = false
 			}
-		case KindAbort:
+		case obs.KindTxAbort:
 			if txOpen {
 				cl := ev.Class
 				if cl < 0 || int(cl) >= core.NumAbortClasses {
@@ -449,29 +374,29 @@ func (r *Recorder) account(c *Chain, events []Event, acct *[numBuckets]uint64) {
 				r.abortsByClass[cl]++
 				txOpen = false
 			}
-		case KindLockWait:
+		case obs.KindLockWait:
 			waitStart, waitOpen = ev.When, true
-		case KindLockAcquire:
+		case obs.KindLockAcquire:
 			if waitOpen {
 				add(lockWaitBucket, ev.When-waitStart)
 				waitOpen = false
 			}
 			holdStart, holdOpen = ev.When, true
-		case KindLockRelease:
+		case obs.KindLockRelease:
 			if holdOpen {
 				add(lockDwellBucket, ev.When-holdStart)
 				holdOpen = false
 			}
-		case KindAuxWait:
+		case obs.KindAuxWait:
 			auxWaitStart, auxWaitOpen = ev.When, true
-		case KindAuxAcquire:
+		case obs.KindAuxAcquire:
 			if auxWaitOpen {
 				add(bucketAuxWait, ev.When-auxWaitStart)
 				auxWaitOpen = false
 			}
 			// The auxiliary dwell overlaps speculative attempts by design;
 			// it is already accounted by cs_aux_dwell_cycles.
-		case KindAuxRelease:
+		case obs.KindAuxRelease:
 		}
 	}
 	if span := c.Span(); span > attributed {
@@ -479,9 +404,8 @@ func (r *Recorder) account(c *Chain, events []Event, acct *[numBuckets]uint64) {
 	}
 }
 
-// ObserveFinish implements obs.TxObserver: flush the aggregates into the
-// registry (idempotent).
-func (r *Recorder) ObserveFinish(totalCycles uint64) {
+// flush folds the aggregates into the registry (idempotent).
+func (r *Recorder) flush() {
 	if r.flushed {
 		return
 	}
@@ -568,7 +492,7 @@ func (r *Recorder) WriteChronicle(w io.Writer, c *Chain) {
 	}
 	for _, ev := range c.Events {
 		cls := ""
-		if ev.Kind == KindAbort {
+		if ev.Kind == obs.KindTxAbort {
 			cls = " class=" + ev.Class.String()
 		}
 		fmt.Fprintf(w, "  +%-8d %s%s\n", ev.When-c.Start, ev.Kind, cls)
@@ -614,16 +538,16 @@ func ChromeTraceEvents(c *Chain) []obs.TraceEvent {
 	attempt := 0
 	for _, ev := range c.Events {
 		switch ev.Kind {
-		case KindTxBegin:
+		case obs.KindTxBegin:
 			attempt++
 			b(ev.When, fmt.Sprintf("attempt %d", attempt), nil)
 			txOpen = true
-		case KindCommit:
+		case obs.KindTxCommit:
 			if txOpen {
 				e(ev.When)
 				txOpen = false
 			}
-		case KindAbort:
+		case obs.KindTxAbort:
 			if txOpen {
 				e(ev.When)
 				txOpen = false
@@ -632,30 +556,30 @@ func ChromeTraceEvents(c *Chain) []obs.TraceEvent {
 				Name: "abort " + ev.Class.String(), Ph: "i", Ts: ev.When,
 				Pid: 0, Tid: c.Tid, Scope: "t",
 			})
-		case KindLockWait:
+		case obs.KindLockWait:
 			b(ev.When, "lock-wait", nil)
 			lockOpen = true
-		case KindLockAcquire:
+		case obs.KindLockAcquire:
 			if lockOpen {
 				e(ev.When)
 			}
 			b(ev.When, "lock-held", nil)
 			lockOpen = true
-		case KindLockRelease:
+		case obs.KindLockRelease:
 			if lockOpen {
 				e(ev.When)
 				lockOpen = false
 			}
-		case KindAuxWait:
+		case obs.KindAuxWait:
 			b(ev.When, "aux-wait", nil)
 			auxOpen = true
-		case KindAuxAcquire:
+		case obs.KindAuxAcquire:
 			if auxOpen {
 				e(ev.When)
 			}
 			b(ev.When, "aux-held", nil)
 			auxOpen = true
-		case KindAuxRelease:
+		case obs.KindAuxRelease:
 			if auxOpen {
 				e(ev.When)
 				auxOpen = false

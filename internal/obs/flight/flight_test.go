@@ -8,17 +8,22 @@ import (
 	"elision/internal/obs"
 )
 
+// emit feeds col one payload-free event of kind k by tid.
+func emit(col *obs.Collector, k obs.Kind, when uint64, tid int) {
+	col.Observe(&obs.Event{Kind: k, When: when, Tid: tid})
+}
+
 // feed drives one synthetic chain through a recorder: a speculative attempt
 // that aborts on a conflict, a lock-wait/acquire/release fallback, sealed
-// with an OpEvent.
+// with a KindOp event.
 func feedFallbackChain(col *obs.Collector, tid int, base uint64) {
-	col.TxBegin(base+10, tid)
-	col.TxAbort(obs.AbortEvent{When: base + 40, Tid: tid, Cause: "conflict", ConflictLine: 7, ConflictTid: 1})
-	col.LockWaiting(base+45, tid)
-	col.LockAcquired(base+65, tid)
-	col.LockReleased(base+95, tid)
-	col.OpDetail(obs.OpEvent{
-		Start: base, When: base + 100, Tid: tid,
+	emit(col, obs.KindTxBegin, base+10, tid)
+	col.Observe(&obs.Event{Kind: obs.KindTxAbort, When: base + 40, Tid: tid, Cause: "conflict", ConflictLine: 7, ConflictTid: 1})
+	emit(col, obs.KindLockWait, base+45, tid)
+	emit(col, obs.KindLockAcquire, base+65, tid)
+	emit(col, obs.KindLockRelease, base+95, tid)
+	col.Observe(&obs.Event{
+		Kind: obs.KindOp, Start: base, When: base + 100, Tid: tid,
 		Spec: false, Attempts: 2, Aborts: 1,
 	})
 }
@@ -68,11 +73,11 @@ func TestRecorderForfeitBuckets(t *testing.T) {
 	col := obs.NewCollector("adaptive-slr", "mcs", 0)
 	rec := Attach(col, Config{})
 	// A forfeited op: straight to the lock, no speculation.
-	col.LockWaiting(110, 0)
-	col.LockAcquired(130, 0)
-	col.LockReleased(180, 0)
-	col.OpDetail(obs.OpEvent{
-		Start: 100, When: 190, Tid: 0,
+	emit(col, obs.KindLockWait, 110, 0)
+	emit(col, obs.KindLockAcquire, 130, 0)
+	emit(col, obs.KindLockRelease, 180, 0)
+	col.Observe(&obs.Event{
+		Kind: obs.KindOp, Start: 100, When: 190, Tid: 0,
 		Spec: false, Attempts: 1, Forfeited: true,
 	})
 	col.Finish(500)
@@ -159,16 +164,16 @@ func TestRecorderRetentionCap(t *testing.T) {
 
 func TestRecorderSharesCollectorWithObserver(t *testing.T) {
 	col := obs.NewCollector("hle", "mcs", 0)
-	probe := &countingObserver{}
-	col.SetObserver(probe)
+	probe := &countingSink{}
+	col.Attach(probe)
 	rec := Attach(col, Config{})
-	col.TxBegin(5, 0)
-	col.TxCommit(30, 0, 1, 1)
-	col.OpDetail(obs.OpEvent{Start: 0, When: 40, Tid: 0, Spec: true, Attempts: 1})
+	emit(col, obs.KindTxBegin, 5, 0)
+	col.Observe(&obs.Event{Kind: obs.KindTxCommit, When: 30, Tid: 0, ReadLines: 1, WriteLines: 1})
+	col.Observe(&obs.Event{Kind: obs.KindOp, Start: 0, When: 40, Tid: 0, Spec: true, Attempts: 1})
 	col.Finish(100)
 
 	if probe.commits != 1 {
-		t.Errorf("pre-attached observer lost the feed: commits = %d", probe.commits)
+		t.Errorf("pre-attached sink lost the stream: commits = %d", probe.commits)
 	}
 	if rec.Sealed() != 1 {
 		t.Errorf("recorder missed the sealed chain: %d", rec.Sealed())
@@ -211,11 +216,10 @@ func TestChromeTraceEventsBalance(t *testing.T) {
 	}
 }
 
-type countingObserver struct{ commits int }
+type countingSink struct{ commits int }
 
-func (c *countingObserver) ObserveCommit(when uint64, tid int)                 { c.commits++ }
-func (c *countingObserver) ObserveAbort(ev obs.AbortEvent)                     {}
-func (c *countingObserver) ObserveLock(ev obs.LockEvent)                       {}
-func (c *countingObserver) ObserveOp(when uint64, tid int, spec, auxUsed bool) {}
-func (c *countingObserver) ObserveLockLines(lines []int)                       {}
-func (c *countingObserver) ObserveFinish(totalCycles uint64)                   {}
+func (c *countingSink) Observe(ev *obs.Event) {
+	if ev.Kind == obs.KindTxCommit {
+		c.commits++
+	}
+}

@@ -1,4 +1,7 @@
-package obs
+// These tests pin the Chrome trace-event records (TraceEvent) the swimlane
+// exporter in internal/trace builds from a recorded run; they sit in an
+// external test package because trace imports obs.
+package obs_test
 
 import (
 	"bytes"
@@ -6,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"elision/internal/obs"
 	"elision/internal/trace"
 )
 
@@ -13,13 +17,13 @@ import (
 // then takes the lock, proc 2 has a tx still open when the trace ends.
 func sampleEvents() []trace.Event {
 	return []trace.Event{
-		{When: 10, Proc: 0, Kind: trace.TxBegin},
-		{When: 30, Proc: 1, Kind: trace.TxBegin},
-		{When: 40, Proc: 0, Kind: trace.TxCommit},
-		{When: 50, Proc: 1, Kind: trace.TxAbort, Arg: 1},
-		{When: 60, Proc: 1, Kind: trace.LockAcquire},
-		{When: 90, Proc: 1, Kind: trace.LockRelease},
-		{When: 95, Proc: 2, Kind: trace.TxBegin},
+		{When: 10, Proc: 0, Kind: obs.KindTxBegin},
+		{When: 30, Proc: 1, Kind: obs.KindTxBegin},
+		{When: 40, Proc: 0, Kind: obs.KindTxCommit},
+		{When: 50, Proc: 1, Kind: obs.KindTxAbort, Arg: 1},
+		{When: 60, Proc: 1, Kind: obs.KindLockAcquire},
+		{When: 90, Proc: 1, Kind: obs.KindLockRelease},
+		{When: 95, Proc: 2, Kind: obs.KindTxBegin},
 	}
 }
 
@@ -28,7 +32,7 @@ func sampleEvents() []trace.Event {
 // ph, ts, pid and tid.
 func TestChromeTraceSchema(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, sampleEvents(), nil); err != nil {
+	if err := trace.WriteChromeTrace(&buf, sampleEvents(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var objs []map[string]any
@@ -61,7 +65,7 @@ func TestChromeTraceSchema(t *testing.T) {
 // TestChromeTraceSpansBalanced checks every B has a matching E per thread,
 // including the tx still open at the end of the trace.
 func TestChromeTraceSpansBalanced(t *testing.T) {
-	evs := ChromeTraceEvents(sampleEvents(), func(arg int64) string { return "conflict" })
+	evs := trace.ChromeTraceEvents(sampleEvents(), func(arg int64) string { return "conflict" })
 	depth := map[int]int{}
 	for _, e := range evs {
 		switch e.Ph {
@@ -92,8 +96,8 @@ func TestChromeTraceSpansBalanced(t *testing.T) {
 }
 
 func TestChromeTraceAbortMarkerAndCauseNames(t *testing.T) {
-	evs := ChromeTraceEvents(sampleEvents(), func(arg int64) string { return "cause-" + string(rune('0'+arg)) })
-	var marker *TraceEvent
+	evs := trace.ChromeTraceEvents(sampleEvents(), func(arg int64) string { return "cause-" + string(rune('0'+arg)) })
+	var marker *obs.TraceEvent
 	for i := range evs {
 		if evs[i].Name == "abort" && evs[i].Ph == "i" {
 			marker = &evs[i]
@@ -108,7 +112,7 @@ func TestChromeTraceAbortMarkerAndCauseNames(t *testing.T) {
 }
 
 func TestChromeTraceThreadNames(t *testing.T) {
-	evs := ChromeTraceEvents(sampleEvents(), nil)
+	evs := trace.ChromeTraceEvents(sampleEvents(), nil)
 	names := map[int]string{}
 	for _, e := range evs {
 		if e.Ph == "M" && e.Name == "thread_name" {
@@ -124,7 +128,7 @@ func TestChromeTraceThreadNames(t *testing.T) {
 
 func TestChromeTraceEmptyInput(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, nil); err != nil {
+	if err := trace.WriteChromeTrace(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var objs []map[string]any

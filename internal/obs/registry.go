@@ -1,20 +1,24 @@
-// Package obs is the simulator's observability layer: a metrics registry
-// (counters, gauges and log-scale histograms keyed by scheme/lock labels),
-// a conflict hot-line profiler that attributes aborts to cache lines, a
-// windowed time-series recorder, and exporters (text/CSV dumps plus
-// Chrome/Perfetto trace-event JSON built from internal/trace events).
+// Package obs is the simulator's observability layer. Its core is one
+// event stream: the htm layer and core.Observed emit each attempt, commit,
+// abort, lock transition and completed critical section once, as an Event,
+// to a Sink. The Collector is the metrics sink — a registry (counters,
+// gauges and log-scale histograms keyed by scheme/lock labels), a conflict
+// hot-line profiler that attributes aborts to cache lines and a windowed
+// time-series recorder, with text/CSV/Prometheus dumps — and forwards every
+// event to the sinks attached to it: the causality engine, the flight
+// recorder, the modelcheck oracle. The swimlane tracer (internal/trace) is
+// one more Sink.
 //
-// The package sits below htm and core in the dependency order — it imports
-// only internal/trace and the standard library — so the transactional
-// memory and the execution schemes can feed it directly. All metric types
-// are safe for concurrent use (atomic fields, a mutex only on registration
-// and aggregation paths), so instrumented runs pass the race detector even
+// The package sits below htm, core and trace in the dependency order — it
+// imports only the standard library — so the transactional memory and the
+// execution schemes can feed it directly. All metric types are safe for
+// concurrent use (atomic fields, a mutex only on registration and
+// aggregation paths), so instrumented runs pass the race detector even
 // when multiple simulated machines run on separate host goroutines.
 //
-// Invariants: the instrumentation only reads the simulation — a nil
-// *Collector is a valid no-op sink — so an observed run's simulated
-// results are bit-identical to an unobserved one (asserted by
-// harness.TestObservedRunMatchesUnobserved).
+// Invariants: sinks only read the simulation — a nil *Collector is a valid
+// no-op sink — so an observed run's simulated results are bit-identical to
+// an unobserved one (asserted by harness.TestObservedRunMatchesUnobserved).
 package obs
 
 import (

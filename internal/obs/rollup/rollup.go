@@ -151,11 +151,11 @@ func (c *Campaign) AddRun(col *obs.Collector) {
 			card.AbortsByCause[ls.Get("cause")] += uint64(m.Value)
 		}
 	}
-	// The collector may carry several observers behind a Tee (causality
-	// engine + flight recorder); find the engine wherever it sits.
+	// The collector may carry several sinks (causality engine + flight
+	// recorder); find the engine wherever it sits.
 	var eng *causality.Engine
-	for _, o := range obs.Observers(col.Observer()) {
-		if e, ok := o.(*causality.Engine); ok {
+	for _, s := range col.Sinks() {
+		if e, ok := s.(*causality.Engine); ok {
 			eng = e
 			break
 		}

@@ -24,23 +24,28 @@ func synthRun(scheme, lock string, seed int64) *obs.Collector {
 		tid := rng.Intn(4)
 		switch rng.Intn(3) {
 		case 0:
-			col.TxCommit(when, tid, rng.Intn(20), rng.Intn(8))
-			col.Op(when, tid, true, uint64(rng.Intn(1000)), rng.Intn(3), false, 0)
+			col.Observe(&obs.Event{Kind: obs.KindTxCommit, When: when, Tid: tid, ReadLines: rng.Intn(20), WriteLines: rng.Intn(8)})
+			col.Observe(op(when, tid, true, uint64(rng.Intn(1000)), rng.Intn(3)))
 		case 1:
-			col.TxAbort(obs.AbortEvent{
-				When: when, Tid: tid, Cause: []string{"conflict", "capacity", "spurious"}[rng.Intn(3)],
+			col.Observe(&obs.Event{
+				Kind: obs.KindTxAbort, When: when, Tid: tid, Cause: []string{"conflict", "capacity", "spurious"}[rng.Intn(3)],
 				ReadLines: rng.Intn(20), WriteLines: rng.Intn(8),
 				ConflictLine: rng.Intn(6), ConflictTid: (tid + 1) % 4,
 				ConflictWhen: when - 1,
 			})
 		default:
-			col.LockAcquired(when, tid)
-			col.Op(when+100, tid, false, uint64(rng.Intn(1000)), rng.Intn(3), false, 0)
-			col.LockReleased(when+100, tid)
+			col.Observe(&obs.Event{Kind: obs.KindLockAcquire, When: when, Tid: tid})
+			col.Observe(op(when+100, tid, false, uint64(rng.Intn(1000)), rng.Intn(3)))
+			col.Observe(&obs.Event{Kind: obs.KindLockRelease, When: when + 100, Tid: tid})
 		}
 	}
 	col.Finish(when + 1)
 	return col
+}
+
+// op is a completed critical section of the given latency and retries.
+func op(when uint64, tid int, spec bool, latency uint64, retries int) *obs.Event {
+	return &obs.Event{Kind: obs.KindOp, Start: when - latency, When: when, Tid: tid, Spec: spec, Attempts: retries + 1}
 }
 
 // synthRuns is a fixed fleet of runs across four cells.

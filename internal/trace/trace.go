@@ -1,10 +1,14 @@
 // Package trace records per-thread transactional events from a simulated
 // run and renders them as an ASCII swimlane timeline — the visual
-// counterpart of §4's serialization-dynamics analysis. A lemming cascade is
-// immediately visible: a column of aborts followed by long lock-held spans
-// on every lane.
+// counterpart of §4's serialization-dynamics analysis — and as Chrome
+// trace-event JSON for Perfetto. A lemming cascade is immediately visible:
+// a column of aborts followed by long lock-held spans on every lane.
 //
-// Invariants: Emit is called only from the currently running sim.Proc
+// The Tracer is an obs.Sink that keeps the seven swimlane kinds of the
+// event stream (obs.KindTxBegin through obs.KindAuxRelease), so trace
+// depends on obs, not the reverse.
+//
+// Invariants: events arrive only from the currently running sim.Proc
 // (single-runner), so the tracer needs no locking and the event sequence is
 // a deterministic function of the machine seed; a nil *Tracer is a valid
 // no-op sink, so tracing on or off cannot change simulated results.
@@ -14,62 +18,16 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"elision/internal/obs"
 )
-
-// Kind classifies an event.
-type Kind int8
-
-// Event kinds.
-const (
-	// TxBegin marks a transaction start.
-	TxBegin Kind = iota + 1
-	// TxCommit marks a successful commit.
-	TxCommit
-	// TxAbort marks an abort; Arg carries the cause code.
-	TxAbort
-	// LockAcquire marks a non-speculative main-lock acquisition (the
-	// lemming trigger).
-	LockAcquire
-	// LockRelease marks the main lock's release.
-	LockRelease
-	// AuxAcquire marks an SCM auxiliary-lock acquisition (serializing-path
-	// entry; the dwell starts here).
-	AuxAcquire
-	// AuxRelease marks the auxiliary lock's release (dwell end).
-	AuxRelease
-)
-
-// numKinds is the number of distinct kinds (for sizing tallies).
-const numKinds = 7
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case TxBegin:
-		return "begin"
-	case TxCommit:
-		return "commit"
-	case TxAbort:
-		return "abort"
-	case LockAcquire:
-		return "lock"
-	case LockRelease:
-		return "unlock"
-	case AuxAcquire:
-		return "aux-lock"
-	case AuxRelease:
-		return "aux-unlock"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
 
 // Event is one recorded occurrence.
 type Event struct {
 	When uint64
 	Proc int
-	Kind Kind
-	// Arg is kind-specific (abort cause, lock id).
+	Kind obs.Kind
+	// Arg is the numeric abort cause on obs.KindTxAbort, 0 otherwise.
 	Arg int64
 }
 
@@ -88,16 +46,17 @@ func New(limit int) *Tracer {
 	return &Tracer{limit: limit}
 }
 
-// Emit records an event. Safe on a nil receiver.
-func (t *Tracer) Emit(when uint64, proc int, kind Kind, arg int64) {
-	if t == nil || len(t.events) >= t.limit {
+// Observe implements obs.Sink: it records the swimlane kinds, which come
+// first in obs.Kind's order, and ignores the rest. Safe on a nil receiver.
+func (t *Tracer) Observe(ev *obs.Event) {
+	if t == nil || ev.Kind > obs.KindAuxRelease || len(t.events) >= t.limit {
 		return
 	}
-	t.events = append(t.events, Event{When: when, Proc: proc, Kind: kind, Arg: arg})
+	t.events = append(t.events, Event{When: ev.When, Proc: ev.Tid, Kind: ev.Kind, Arg: ev.Arg})
 }
 
 // Events returns a copy of the recorded events, safe to hold or modify
-// after further Emits.
+// after further events.
 func (t *Tracer) Events() []Event {
 	if t == nil || len(t.events) == 0 {
 		return nil
@@ -162,19 +121,19 @@ func (t *Tracer) Timeline(w io.Writer, procs int, from, to uint64, cols int) {
 		}
 		var g byte
 		switch e.Kind {
-		case TxBegin:
+		case obs.KindTxBegin:
 			g = 'b'
-		case TxCommit:
+		case obs.KindTxCommit:
 			g = 'c'
-		case TxAbort:
+		case obs.KindTxAbort:
 			g = 'x'
-		case LockAcquire:
+		case obs.KindLockAcquire:
 			g = 'L'
-		case LockRelease:
+		case obs.KindLockRelease:
 			g = 'u'
-		case AuxAcquire:
+		case obs.KindAuxAcquire:
 			g = 'a'
-		case AuxRelease:
+		case obs.KindAuxRelease:
 			g = 'v'
 		default:
 			continue
@@ -190,8 +149,8 @@ func (t *Tracer) Timeline(w io.Writer, procs int, from, to uint64, cols int) {
 }
 
 // Counts tallies events by kind.
-func (t *Tracer) Counts() map[Kind]int {
-	out := make(map[Kind]int, numKinds)
+func (t *Tracer) Counts() map[obs.Kind]int {
+	out := make(map[obs.Kind]int, int(obs.KindAuxRelease))
 	if t == nil {
 		return out
 	}

@@ -3,11 +3,18 @@ package trace
 import (
 	"strings"
 	"testing"
+
+	"elision/internal/obs"
 )
+
+// emit feeds the tracer one event the way the htm layer does.
+func emit(tr *Tracer, when uint64, proc int, kind obs.Kind, arg int64) {
+	tr.Observe(&obs.Event{Kind: kind, When: when, Tid: proc, Arg: arg})
+}
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(1, 0, TxBegin, 0)
+	emit(tr, 1, 0, obs.KindTxBegin, 0)
 	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer misbehaved")
 	}
@@ -15,12 +22,18 @@ func TestNilTracerIsSafe(t *testing.T) {
 
 func TestEmitAndCounts(t *testing.T) {
 	tr := New(0)
-	tr.Emit(1, 0, TxBegin, 0)
-	tr.Emit(2, 0, TxAbort, 1)
-	tr.Emit(3, 1, TxBegin, 0)
-	tr.Emit(4, 1, TxCommit, 0)
+	emit(tr, 1, 0, obs.KindTxBegin, 0)
+	emit(tr, 2, 0, obs.KindTxAbort, 1)
+	emit(tr, 3, 1, obs.KindTxBegin, 0)
+	emit(tr, 4, 1, obs.KindTxCommit, 0)
+	// Kinds past the swimlane seven are not recorded.
+	emit(tr, 5, 1, obs.KindLockWait, 0)
+	emit(tr, 6, 1, obs.KindOp, 0)
+	if tr.Len() != 4 {
+		t.Fatalf("len = %d, want 4 swimlane events", tr.Len())
+	}
 	c := tr.Counts()
-	if c[TxBegin] != 2 || c[TxAbort] != 1 || c[TxCommit] != 1 {
+	if c[obs.KindTxBegin] != 2 || c[obs.KindTxAbort] != 1 || c[obs.KindTxCommit] != 1 {
 		t.Fatalf("counts = %v", c)
 	}
 }
@@ -28,7 +41,7 @@ func TestEmitAndCounts(t *testing.T) {
 func TestLimitBoundsMemory(t *testing.T) {
 	tr := New(3)
 	for i := 0; i < 10; i++ {
-		tr.Emit(uint64(i), 0, TxBegin, 0)
+		emit(tr, uint64(i), 0, obs.KindTxBegin, 0)
 	}
 	if tr.Len() != 3 {
 		t.Fatalf("len = %d, want 3", tr.Len())
@@ -37,10 +50,10 @@ func TestLimitBoundsMemory(t *testing.T) {
 
 func TestTimelineRendersGlyphs(t *testing.T) {
 	tr := New(0)
-	tr.Emit(10, 0, TxBegin, 0)
-	tr.Emit(20, 0, TxAbort, 1)
-	tr.Emit(30, 1, LockAcquire, 0)
-	tr.Emit(90, 1, TxCommit, 0)
+	emit(tr, 10, 0, obs.KindTxBegin, 0)
+	emit(tr, 20, 0, obs.KindTxAbort, 1)
+	emit(tr, 30, 1, obs.KindLockAcquire, 0)
+	emit(tr, 90, 1, obs.KindTxCommit, 0)
 	var sb strings.Builder
 	tr.Timeline(&sb, 2, 0, 100, 10)
 	out := sb.String()
@@ -70,13 +83,13 @@ func TestTimelineEmptyWindow(t *testing.T) {
 
 func TestEventsReturnsCopy(t *testing.T) {
 	tr := New(0)
-	tr.Emit(1, 0, TxBegin, 0)
+	emit(tr, 1, 0, obs.KindTxBegin, 0)
 	evs := tr.Events()
-	evs[0].Kind = TxAbort
-	if c := tr.Counts(); c[TxBegin] != 1 || c[TxAbort] != 0 {
+	evs[0].Kind = obs.KindTxAbort
+	if c := tr.Counts(); c[obs.KindTxBegin] != 1 || c[obs.KindTxAbort] != 0 {
 		t.Fatalf("mutating Events() leaked into the tracer: %v", c)
 	}
-	tr.Emit(2, 0, TxCommit, 0)
+	emit(tr, 2, 0, obs.KindTxCommit, 0)
 	if len(evs) != 1 {
 		t.Fatal("earlier snapshot grew with later emits")
 	}
@@ -84,7 +97,7 @@ func TestEventsReturnsCopy(t *testing.T) {
 
 func TestTimelineUnlockGlyph(t *testing.T) {
 	tr := New(0)
-	tr.Emit(10, 0, LockRelease, 0)
+	emit(tr, 10, 0, obs.KindLockRelease, 0)
 	var sb strings.Builder
 	tr.Timeline(&sb, 1, 0, 100, 10)
 	if out := sb.String(); !strings.Contains(out, "u") || !strings.Contains(out, "u=unlock") {
@@ -93,10 +106,10 @@ func TestTimelineUnlockGlyph(t *testing.T) {
 	// Priority: release outranks abort/commit/begin in a shared cell but
 	// yields to an acquire.
 	tr2 := New(0)
-	tr2.Emit(10, 0, TxAbort, 0)
-	tr2.Emit(11, 0, LockRelease, 0)
-	tr2.Emit(50, 0, LockRelease, 0)
-	tr2.Emit(51, 0, LockAcquire, 0)
+	emit(tr2, 10, 0, obs.KindTxAbort, 0)
+	emit(tr2, 11, 0, obs.KindLockRelease, 0)
+	emit(tr2, 50, 0, obs.KindLockRelease, 0)
+	emit(tr2, 51, 0, obs.KindLockAcquire, 0)
 	sb.Reset()
 	tr2.Timeline(&sb, 1, 0, 100, 10)
 	lane := sb.String()[strings.Index(sb.String(), "p0"):]
@@ -107,10 +120,10 @@ func TestTimelineUnlockGlyph(t *testing.T) {
 
 func TestTimelineWindowEdges(t *testing.T) {
 	tr := New(0)
-	tr.Emit(100, 0, TxAbort, 0) // exactly at `to`: excluded (window is [from, to))
-	tr.Emit(99, 0, TxCommit, 0) // last cycle inside: included
-	tr.Emit(50, 3, TxAbort, 0)  // Proc beyond the lane count: skipped
-	tr.Emit(50, -1, TxAbort, 0) // negative Proc: skipped
+	emit(tr, 100, 0, obs.KindTxAbort, 0) // exactly at `to`: excluded (window is [from, to))
+	emit(tr, 99, 0, obs.KindTxCommit, 0) // last cycle inside: included
+	emit(tr, 50, 3, obs.KindTxAbort, 0)  // Proc beyond the lane count: skipped
+	emit(tr, 50, -1, obs.KindTxAbort, 0) // negative Proc: skipped
 	var sb strings.Builder
 	tr.Timeline(&sb, 1, 0, 100, 10)
 	out := sb.String()
@@ -127,8 +140,8 @@ func TestTimelineMoreColsThanCycles(t *testing.T) {
 	// Span 4 cycles over 10 columns: width clamps to 1 and events land in
 	// their own columns without panicking.
 	tr := New(0)
-	tr.Emit(0, 0, TxBegin, 0)
-	tr.Emit(3, 0, TxCommit, 0)
+	emit(tr, 0, 0, obs.KindTxBegin, 0)
+	emit(tr, 3, 0, obs.KindTxCommit, 0)
 	var sb strings.Builder
 	tr.Timeline(&sb, 1, 0, 4, 10)
 	out := sb.String()
@@ -149,16 +162,5 @@ func TestNilTracerTimelineAndCounts(t *testing.T) {
 	}
 	if c := tr.Counts(); len(c) != 0 {
 		t.Fatalf("nil tracer counted: %v", c)
-	}
-}
-
-func TestKindStrings(t *testing.T) {
-	for k, want := range map[Kind]string{
-		TxBegin: "begin", TxCommit: "commit", TxAbort: "abort",
-		LockAcquire: "lock", LockRelease: "unlock",
-	} {
-		if k.String() != want {
-			t.Fatalf("%v.String() = %q, want %q", int8(k), k.String(), want)
-		}
 	}
 }
