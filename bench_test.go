@@ -12,8 +12,8 @@ package elision
 //	BenchmarkFig10Schemes       — §7.1, Figure 10
 //	BenchmarkFig11Stamp         — §7.2, Figure 11
 //
-// Full-scale regeneration is done by cmd/lemming, cmd/rbbench and
-// cmd/stampbench (see EXPERIMENTS.md).
+// Full-scale regeneration is done by cmd/reproduce, one results/ file per
+// figure; `reproduce -only figure2` runs one (see EXPERIMENTS.md).
 
 import (
 	"strconv"

@@ -6,7 +6,6 @@
 //	go run ./cmd/bench                              # JSON to stdout
 //	go run ./cmd/bench -out BENCH_simulator.json
 //	go run ./cmd/bench -compare old.json -out new.json   # embed baseline + ratios
-//	go run ./cmd/bench -reproduce                   # also time the quick figure suite
 //	go run ./cmd/bench -j 8                         # pin the campaign fleet's workers
 //
 // Every workload is a deterministic function of its seed: the JSON records
@@ -108,10 +107,6 @@ type Report struct {
 	// Flight is the flight-recorder overhead measurement (always present;
 	// cmd/benchdiff gates its ratio).
 	Flight FlightOverhead `json:"flight"`
-	// ReproduceQuickWallMs is the wall time of the in-process quick figure
-	// suite (the same work as `reproduce -quick`, minus file output);
-	// present only when -reproduce is given.
-	ReproduceQuickWallMs float64 `json:"reproduce_quick_wall_ms,omitempty"`
 }
 
 // dsWorkload adapts a harness data-structure point.
@@ -323,25 +318,6 @@ func observedCampaign(fc fleet.Config, prof *fleet.Profile) (*rollup.Campaign, *
 	return ru, fleetReg
 }
 
-// reproduceQuick runs the quick figure suite in-process and returns its
-// wall time — the headline "how long does a full -quick reproduction take"
-// number, without file I/O noise.
-func reproduceQuick() time.Duration {
-	sc := harness.TestScale()
-	r := harness.NewRunner()
-	start := time.Now()
-	harness.Figure2(r, sc)
-	harness.Figure3(r, sc)
-	harness.Figure4(r, sc)
-	harness.Figure9(r, sc)
-	harness.Figure10(r, sc)
-	harness.HashTableComparison(r, sc)
-	if _, err := harness.Figure11(harness.TestStampScale(), runtime.GOMAXPROCS(0), nil); err != nil {
-		panic(err)
-	}
-	return time.Since(start)
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -354,7 +330,6 @@ func run(args []string, stdout io.Writer) error {
 	out := fs.String("out", "", "write JSON here instead of stdout")
 	compare := fs.String("compare", "", "baseline BENCH_simulator.json to embed and compute ratios against")
 	iters := fs.Int("iters", 5, "measured iterations per workload (after one warmup)")
-	repro := fs.Bool("reproduce", false, "also time the in-process quick figure suite")
 	j := fs.Int("j", 0, "parallel fleet workers for the campaign measurement (0 = all host CPUs)")
 	shards := fs.Int("shards", 0, "fleet work-stealing shards (0 = one per worker)")
 	prom := fs.String("prom", "", "write campaign metrics (observed rollup pass + fleet self-metrics) as a Prometheus exposition here")
@@ -444,11 +419,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "bench: wrote fleet trace %s\n", *fleetTrace)
-	}
-	if *repro {
-		d := reproduceQuick()
-		rep.ReproduceQuickWallMs = float64(d.Nanoseconds()) / 1e6
-		fmt.Fprintf(os.Stderr, "bench: reproduce-quick wall %.0fms\n", rep.ReproduceQuickWallMs)
 	}
 
 	enc, err := json.MarshalIndent(rep, "", "  ")

@@ -11,12 +11,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 
 	"elision/internal/core"
-	"elision/internal/fleet"
 	"elision/internal/harness"
 	"elision/internal/htm"
 	"elision/internal/obs"
@@ -26,20 +27,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("elide", flag.ContinueOnError)
 	threads := fs.Int("threads", 8, "simulated hardware threads")
 	schemeName := fs.String("scheme", "hle", "scheme: "+strings.Join(core.SchemeNames(), "|"))
 	lockName := fs.String("lock", "ttas", "lock: "+strings.Join(core.LockNames(), "|"))
 	adaptive := fs.String("adaptive", "", "adaptive-family config, retry/forfeit per abort class as conflict,busy,capacity,other (e.g. 5/2,16/5,0/8,3/3); requires -scheme adaptive-hle|adaptive-slr")
 	structure := fs.String("structure", "rbtree", "data structure: rbtree|hashtable")
-	size := fs.Int("size", 1024, "steady-state element count")
+	size := fs.Uint("size", 1024, "steady-state element count")
 	mixFlag := fs.String("mix", "10,10", "insertPct,deletePct (rest lookups)")
 	budget := fs.Uint64("budget", 2_000_000, "virtual-cycle budget per thread")
 	seed := fs.Uint64("seed", 42, "random seed")
@@ -52,16 +53,11 @@ func run(args []string) error {
 	causal := fs.Bool("causality", false, "attach the abort-causality engine: print the speculation-health scorecard and add cascade flow arrows to -trace-json")
 	flightOn := fs.Bool("flight", false, "attach the flight recorder: print the attempt-chain summary (cycles-to-commit percentiles, cycle partition) and fold flight_* families into -metrics")
 	hwfix := fs.Bool("hwfix", false, "arm the lazy-subscription hardware fix (htm aborts dangerous actions in unsubscribed transactions); only lazysub behaves differently")
-	j := fs.Int("j", 0, "accepted for cmd-tool uniformity; a single point always runs on one worker")
-	shards := fs.Int("shards", 0, "accepted for cmd-tool uniformity; a single point always runs on one worker")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("elide: unexpected arguments: %s", strings.Join(fs.Args(), " "))
-	}
-	if _, err := fleet.Flags(*j, *shards); err != nil {
-		return err
 	}
 
 	// Validate against the factory's roster so a typo is a flag error with
@@ -87,10 +83,16 @@ func run(args []string) error {
 	if *quantum == 0 {
 		return fmt.Errorf("elide: -quantum must be > 0")
 	}
-	var mix harness.Mix
-	if _, err := fmt.Sscanf(strings.ReplaceAll(*mixFlag, ",", " "), "%d %d", &mix.InsertPct, &mix.DeletePct); err != nil {
-		return fmt.Errorf("elide: bad -mix %q: %w", *mixFlag, err)
+	if *budget == 0 {
+		return fmt.Errorf("elide: -budget must be > 0")
 	}
+	ins, del, _ := strings.Cut(*mixFlag, ",")
+	insPct, err1 := strconv.Atoi(ins)
+	delPct, err2 := strconv.Atoi(del)
+	if err1 != nil || err2 != nil || insPct < 0 || delPct < 0 || insPct+delPct > 100 {
+		return fmt.Errorf("elide: bad -mix %q: want insertPct,deletePct, each >= 0, summing to at most 100", *mixFlag)
+	}
+	mix := harness.Mix{InsertPct: insPct, DeletePct: delPct}
 	st := harness.StructTree
 	if *structure == "hashtable" {
 		st = harness.StructHash
@@ -100,7 +102,7 @@ func run(args []string) error {
 	cfg := harness.DSConfig{
 		Structure:    st,
 		Threads:      *threads,
-		Size:         *size,
+		Size:         int(*size),
 		Mix:          mix,
 		Scheme:       harness.SchemeID(*schemeName),
 		Lock:         harness.LockID(*lockName),
@@ -135,29 +137,29 @@ func run(args []string) error {
 	res := harness.RunDataStructureObserved(cfg, col, tr)
 	s := res.Stats
 
-	fmt.Printf("%s over %s, %d threads, size %d, %s, %d cycles\n",
+	fmt.Fprintf(stdout, "%s over %s, %d threads, size %d, %s, %d cycles\n",
 		*schemeName, *lockName, *threads, *size, mix.Name(), res.Cycles)
-	fmt.Printf("  operations        %d (%.1f per Mcycle)\n", s.Ops, res.Throughput())
-	fmt.Printf("  speculative       %d (%.1f%%)\n", s.Spec, 100*(1-s.NonSpecFraction()))
-	fmt.Printf("  non-speculative   %d\n", s.NonSpec)
-	fmt.Printf("  aborts            %d (%.2f attempts/op)\n", s.Aborts, s.AttemptsPerOp())
+	fmt.Fprintf(stdout, "  operations        %d (%.1f per Mcycle)\n", s.Ops, res.Throughput())
+	fmt.Fprintf(stdout, "  speculative       %d (%.1f%%)\n", s.Spec, 100*(1-s.NonSpecFraction()))
+	fmt.Fprintf(stdout, "  non-speculative   %d\n", s.NonSpec)
+	fmt.Fprintf(stdout, "  aborts            %d (%.2f attempts/op)\n", s.Aborts, s.AttemptsPerOp())
 	if s.AuxAcquires > 0 {
-		fmt.Printf("  serializing path  %d entries\n", s.AuxAcquires)
+		fmt.Fprintf(stdout, "  serializing path  %d entries\n", s.AuxAcquires)
 	}
 	if core.AdaptiveSchemeName(*schemeName) {
-		fmt.Printf("  forfeit windows   %d opened, %d closed, %d ops forfeited\n",
+		fmt.Fprintf(stdout, "  forfeit windows   %d opened, %d closed, %d ops forfeited\n",
 			s.ForfeitEntries, s.ForfeitExits, s.ForfeitOps)
 		for cl := core.AbortClass(0); int(cl) < core.NumAbortClasses; cl++ {
 			if n := s.ExhaustedByClass[cl]; n > 0 {
-				fmt.Printf("    budget exhausted on %-9s %d\n", cl, n)
+				fmt.Fprintf(stdout, "    budget exhausted on %-9s %d\n", cl, n)
 			}
 		}
 	}
 	if *breakdown {
-		fmt.Println("  final-abort causes:")
+		fmt.Fprintln(stdout, "  final-abort causes:")
 		for c := htm.Cause(0); int(c) < htm.NumCauses; c++ {
 			if n := s.ByCause[c]; n > 0 {
-				fmt.Printf("    %-12s %d\n", c, n)
+				fmt.Fprintf(stdout, "    %-12s %d\n", c, n)
 			}
 		}
 	}
@@ -169,18 +171,18 @@ func run(args []string) error {
 		return ""
 	}
 	if *hotLines > 0 {
-		fmt.Println()
-		col.Hot.WriteText(os.Stdout, *hotLines, annotate)
+		fmt.Fprintln(stdout)
+		col.Hot.WriteText(stdout, *hotLines, annotate)
 	}
 	if eng != nil {
-		fmt.Println()
-		eng.WriteText(os.Stdout)
+		fmt.Fprintln(stdout)
+		eng.WriteText(stdout)
 	}
 	if rec != nil {
-		rec.WriteText(os.Stdout)
+		rec.WriteText(stdout)
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, col, *hotLines, annotate); err != nil {
+		if err := writeMetrics(*metricsOut, stdout, col, *hotLines, annotate); err != nil {
 			return fmt.Errorf("elide: %w", err)
 		}
 	}
@@ -188,7 +190,7 @@ func run(args []string) error {
 		if err := writeTrace(*traceJSON, tr, eng); err != nil {
 			return fmt.Errorf("elide: %w", err)
 		}
-		fmt.Printf("wrote %d trace events to %s (open in ui.perfetto.dev or chrome://tracing)\n",
+		fmt.Fprintf(stdout, "wrote %d trace events to %s (open in ui.perfetto.dev or chrome://tracing)\n",
 			tr.Len(), *traceJSON)
 	}
 	return nil
@@ -196,8 +198,8 @@ func run(args []string) error {
 
 // writeMetrics dumps the collector's report to path: "-" selects stdout, a
 // .csv suffix selects the CSV form, anything else the text report.
-func writeMetrics(path string, col *obs.Collector, hotN int, annotate func(line int) string) error {
-	w := os.Stdout
+func writeMetrics(path string, stdout io.Writer, col *obs.Collector, hotN int, annotate func(line int) string) error {
+	w := stdout
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {

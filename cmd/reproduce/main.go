@@ -1,29 +1,33 @@
-// Command reproduce regenerates every figure of the paper's evaluation in
-// one process (sharing a memoized point cache across figures) and writes
-// the tables to the results/ directory as well as stdout:
+// Command reproduce regenerates every table of the paper's evaluation and
+// of the repository's extension experiments in one process (sharing a
+// memoized point cache across tables). Each job writes its tables to
+// stdout and to <name>.txt in the results/ directory, with a CSV twin
+// <name>.csv:
 //
-//	go run ./cmd/reproduce            # full scale (tens of minutes)
-//	go run ./cmd/reproduce -quick     # reduced scale (about a minute)
-//	go run ./cmd/reproduce -j 8       # pin the fleet to 8 workers
+//	go run ./cmd/reproduce                          # full scale (about 25 s at 2 CPUs)
+//	go run ./cmd/reproduce -quick                   # reduced scale (about 2 s)
+//	go run ./cmd/reproduce -quick -only figure2,timeline
+//	go run ./cmd/reproduce -j 8                     # pin the fleet to 8 workers
+//
+// -only names jobs by their results/ file stem; a bad name lists them all.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"elision/internal/core"
 	"elision/internal/fleet"
 	"elision/internal/harness"
-	"elision/internal/htm"
 	"elision/internal/obs"
-	"elision/internal/obs/causality"
 	"elision/internal/obs/rollup"
-	"elision/internal/trace"
 )
 
 func main() {
@@ -37,9 +41,11 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced scale")
 	outDir := fs.String("out", "results", "output directory")
-	traceJSON := fs.String("trace-json", "", "write the §4 lemming run's Chrome/Perfetto trace-event JSON to this file")
-	metricsOut := fs.String("metrics", "", "write the §4 lemming run's metrics report to this file ('-' = stdout; a .csv suffix selects CSV)")
-	hotLines := fs.Int("hot-lines", 0, "print the §4 lemming run's top-N conflict hot lines")
+	var only []string // nil = every job
+	fs.Func("only", "run only these comma-separated jobs, named by their results/ file stem (e.g. figure2,timeline)", func(s string) error {
+		only = strings.Split(s, ",")
+		return nil
+	})
 	j := fs.Int("j", 0, "parallel fleet workers (0 = all host CPUs)")
 	shards := fs.Int("shards", 0, "fleet work-stealing shards (0 = one per worker)")
 	adaptive := fs.String("adaptive", "", "also emit the adaptive-frontier table (results/adaptive.txt) comparing the adaptive family under this config (e.g. a cmd/tune winner, or 'default') against the fixed-policy schemes")
@@ -75,15 +81,6 @@ func run(args []string, stdout io.Writer) error {
 		sc = harness.TestScale()
 		ssc = harness.TestStampScale()
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		return err
-	}
-
-	if *traceJSON != "" || *metricsOut != "" || *hotLines > 0 {
-		if err := observeLemming(sc, *traceJSON, *metricsOut, *hotLines); err != nil {
-			return err
-		}
-	}
 
 	r := harness.NewRunner()
 	r.Workers = fc.Workers
@@ -103,65 +100,94 @@ func run(args []string, stdout io.Writer) error {
 		return s
 	})
 
-	write := func(name string, tables []harness.Table) error {
-		f, err := os.Create(filepath.Join(*outDir, name+".txt"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w := io.MultiWriter(stdout, f)
-		for i := range tables {
-			tables[i].Render(w)
-		}
-		c, err := os.Create(filepath.Join(*outDir, name+".csv"))
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		for i := range tables {
-			tables[i].RenderCSV(c)
-		}
-		return nil
-	}
-
+	// The job list is the registry of -only names: each name is the job's
+	// results/ file stem, and jobs run in this order. A table job's tables
+	// go to <name>.txt and <name>.csv; a text job's text to <name>.txt.
 	type job struct {
 		name string
 		gen  func() ([]harness.Table, error)
+		text func() string
 	}
 	jobs := []job{
-		{"figure2", func() ([]harness.Table, error) { return harness.Figure2(r, sc), nil }},
-		{"figure3", func() ([]harness.Table, error) { return harness.Figure3(r, sc), nil }},
-		{"figure4", func() ([]harness.Table, error) { return harness.Figure4(r, sc), nil }},
-		{"figure9", func() ([]harness.Table, error) { return harness.Figure9(r, sc), nil }},
-		{"figure10", func() ([]harness.Table, error) { return harness.Figure10(r, sc), nil }},
-		{"hashtable", func() ([]harness.Table, error) { return harness.HashTableComparison(r, sc), nil }},
-		{"figure11", func() ([]harness.Table, error) {
+		{name: "figure2", gen: func() ([]harness.Table, error) { return harness.Figure2(r, sc), nil }},
+		{name: "figure3", gen: func() ([]harness.Table, error) { return harness.Figure3(r, sc), nil }},
+		{name: "figure4", gen: func() ([]harness.Table, error) { return harness.Figure4(r, sc), nil }},
+		{name: "figure9", gen: func() ([]harness.Table, error) { return harness.Figure9(r, sc), nil }},
+		{name: "figure10", gen: func() ([]harness.Table, error) { return harness.Figure10(r, sc), nil }},
+		{name: "hashtable", gen: func() ([]harness.Table, error) { return harness.HashTableComparison(r, sc), nil }},
+		{name: "figure11", gen: func() ([]harness.Table, error) {
 			return harness.Figure11(ssc, fc.Workers, r.Progress)
 		}},
-		{"analysis", func() ([]harness.Table, error) { return harness.AnalysisTables(r, sc), nil }},
-		{"figure9-smt", func() ([]harness.Table, error) { return harness.SMTFigure9(r, sc, 4), nil }},
-		{"scm-groups", func() ([]harness.Table, error) { return harness.GroupedSCMAblation(r, sc), nil }},
-		{"finegrained", func() ([]harness.Table, error) { return harness.FineGrainedComparison(sc), nil }},
-		{"fairness", func() ([]harness.Table, error) { return harness.FairnessComparison(sc), nil }},
-		{"sensitivity", func() ([]harness.Table, error) { return harness.CostSensitivity(sc), nil }},
-		{"fairlocks", func() ([]harness.Table, error) { return harness.FairLockLemming(r, sc), nil }},
+		{name: "analysis", gen: func() ([]harness.Table, error) { return harness.AnalysisTables(r, sc), nil }},
+		{name: "figure9-smt", gen: func() ([]harness.Table, error) { return harness.SMTFigure9(r, sc, 4), nil }},
+		{name: "scm-groups", gen: func() ([]harness.Table, error) { return harness.GroupedSCMAblation(r, sc), nil }},
+		{name: "finegrained", gen: func() ([]harness.Table, error) { return harness.FineGrainedComparison(sc), nil }},
+		{name: "fairness", gen: func() ([]harness.Table, error) { return harness.FairnessComparison(sc), nil }},
+		{name: "sensitivity", gen: func() ([]harness.Table, error) { return harness.CostSensitivity(sc), nil }},
+		{name: "fairlocks", gen: func() ([]harness.Table, error) { return harness.FairLockLemming(r, sc), nil }},
+		{name: "timeline", text: func() string {
+			return harness.LemmingTimeline(sc, harness.LockTTAS) + "\n" +
+				harness.LemmingTimeline(sc, harness.LockMCS) + "\n"
+		}},
 	}
 	if *adaptive != "" {
-		jobs = append(jobs, job{"adaptive", func() ([]harness.Table, error) {
+		jobs = append(jobs, job{name: "adaptive", gen: func() ([]harness.Table, error) {
 			return harness.AdaptiveFrontier(r, sc, acfg), nil
 		}})
+	}
+	if only != nil {
+		var names []string
+		for _, j := range jobs {
+			names = append(names, j.name)
+		}
+		for _, name := range only {
+			if !slices.Contains(names, name) {
+				return fmt.Errorf("reproduce: unknown -only job %q (known: %s; adaptive needs -adaptive)", name, strings.Join(names, ","))
+			}
+		}
+		jobs = slices.DeleteFunc(jobs, func(j job) bool { return !slices.Contains(only, j.name) })
+	}
+
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		return err
+	}
+	write := func(j job) error {
+		var text string
+		var tables []harness.Table
+		var err error
+		if j.text != nil {
+			text = j.text()
+		} else if tables, err = j.gen(); err != nil {
+			return err
+		}
+		f, err := os.Create(filepath.Join(*outDir, j.name+".txt"))
+		if err != nil {
+			return err
+		}
+		w := io.MultiWriter(stdout, f)
+		_, err = io.WriteString(w, text)
+		for i := range tables {
+			tables[i].Render(w)
+		}
+		if err = errors.Join(err, f.Close()); err != nil || j.text != nil {
+			return err // a text job has no CSV twin
+		}
+		c, err := os.Create(filepath.Join(*outDir, j.name+".csv"))
+		if err != nil {
+			return err
+		}
+		for i := range tables {
+			tables[i].RenderCSV(c)
+		}
+		return c.Close()
 	}
 	for _, j := range jobs {
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "== %s ==\n", j.name)
-		tables, err := j.gen()
-		if err != nil {
+		if err := write(j); err != nil {
 			return fmt.Errorf("%s: %w", j.name, err)
 		}
-		if err := write(j.name, tables); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "   %s done in %v\n", j.name, time.Since(start).Round(time.Second))
+		fmt.Fprintf(os.Stderr, "   %s done in %v\n", j.name, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *rollupOut != "" || *prom != "" {
@@ -214,63 +240,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "   wrote fleet trace %s\n", *fleetTrace)
-	}
-	return nil
-}
-
-// observeLemming runs the §4 serialization-dynamics point (plain HLE over
-// MCS) with the observability rig and abort-causality engine attached and
-// writes whichever outputs the flags requested: the hot-line table to
-// stdout, the metrics report (scorecard included), and the Chrome
-// trace-event JSON with cascade flow arrows.
-func observeLemming(sc harness.Scale, traceJSON, metricsOut string, hotN int) error {
-	fmt.Fprintln(os.Stderr, "== observe (§4 lemming point: hle over mcs) ==")
-	cfg := sc.Section4Config(harness.SchemeHLE, harness.LockMCS)
-	col := obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), cfg.BudgetCycles/20)
-	eng := causality.Attach(col, causality.Config{})
-	var tr *trace.Tracer
-	if traceJSON != "" {
-		tr = trace.New(0)
-	}
-	res := harness.RunDataStructureObserved(cfg, col, tr)
-	fmt.Fprintf(os.Stderr, "   %s\n", eng.Report().Verdict("hle", "mcs"))
-	annotate := func(line int) string {
-		if res.HasLockLine(line) {
-			return " (lock)"
-		}
-		return ""
-	}
-	if hotN > 0 {
-		col.Hot.WriteText(os.Stdout, hotN, annotate)
-	}
-	if metricsOut != "" {
-		w := os.Stdout
-		if metricsOut != "-" {
-			f, err := os.Create(metricsOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if strings.HasSuffix(metricsOut, ".csv") {
-			col.WriteCSV(w)
-		} else {
-			col.WriteText(w, hotN, annotate)
-		}
-	}
-	if traceJSON != "" {
-		f, err := os.Create(traceJSON)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := trace.WriteChromeTraceFlows(f, tr.Events(), func(arg int64) string {
-			return htm.Cause(arg).String()
-		}, eng.FlowEvents()); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "   wrote %d trace events to %s\n", tr.Len(), traceJSON)
 	}
 	return nil
 }
