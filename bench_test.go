@@ -114,8 +114,10 @@ func BenchmarkFig10Schemes(b *testing.B) {
 func BenchmarkFig11Stamp(b *testing.B) {
 	sc := harness.TestStampScale()
 	var tables int
+	r := harness.NewRunner()
+	r.Fleet.Workers = 2
 	for i := 0; i < b.N; i++ {
-		tabs, err := harness.Figure11(sc, 2, nil)
+		tabs, err := harness.Figure11(r, sc)
 		if err != nil {
 			b.Fatal(err)
 		}

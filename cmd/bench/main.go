@@ -112,7 +112,7 @@ type Report struct {
 // dsWorkload adapts a harness data-structure point.
 func dsWorkload(name string, cfg harness.DSConfig) Workload {
 	return Workload{Name: name, Run: func() (uint64, uint64) {
-		r := harness.RunDataStructure(cfg)
+		r := harness.NewInstance(nil).Run(cfg)
 		return r.Cycles, r.Stats.Attempts
 	}}
 }
@@ -225,13 +225,13 @@ func measureFlightOverhead(iters int) FlightOverhead {
 		BudgetCycles: 400_000, Seed: 42, Quantum: 128,
 	}
 	un := measure(Workload{Name: "flight-off", Run: func() (uint64, uint64) {
-		r := harness.RunDataStructure(cfg)
+		r := harness.NewInstance(nil).Run(cfg)
 		return r.Cycles, r.Stats.Attempts
 	}}, iters)
 	fl := measure(Workload{Name: "flight-on", Run: func() (uint64, uint64) {
 		col := obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), 0)
 		flight.Attach(col, flight.Config{MaxChains: -1})
-		r := harness.RunDataStructureObserved(cfg, col, nil)
+		r := harness.NewInstance(nil).RunObserved(cfg, col, nil)
 		return r.Cycles, r.Stats.Attempts
 	}}, iters)
 	o := FlightOverhead{UnobservedNsPerOp: un.NsPerOp, FlightNsPerOp: fl.NsPerOp}
@@ -269,9 +269,7 @@ func campaignGrid() []harness.DSConfig {
 func measureCampaign(fc fleet.Config, prof *fleet.Profile) CampaignMetrics {
 	grid := campaignGrid()
 	r := harness.NewRunner()
-	r.Workers = fc.Workers
-	r.Shards = fc.Shards
-	r.Profile = prof
+	r.Fleet = fleet.Config{Workers: fc.Workers, Shards: fc.Shards, Profile: prof}
 	start := time.Now()
 	results := r.RunAll(grid)
 	wall := time.Since(start)
@@ -308,9 +306,7 @@ func measureCampaign(fc fleet.Config, prof *fleet.Profile) CampaignMetrics {
 // the campaign rollup and a registry of the runner's pooling metrics.
 func observedCampaign(fc fleet.Config, prof *fleet.Profile) (*rollup.Campaign, *obs.Registry) {
 	r := harness.NewRunner()
-	r.Workers = fc.Workers
-	r.Shards = fc.Shards
-	r.Profile = prof
+	r.Fleet = fleet.Config{Workers: fc.Workers, Shards: fc.Shards, Profile: prof}
 	ru := rollup.New()
 	r.RunAllRollup(campaignGrid(), ru)
 	fleetReg := obs.NewRegistry()

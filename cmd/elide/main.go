@@ -14,7 +14,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 
 	"elision/internal/core"
@@ -86,13 +85,10 @@ func run(args []string, stdout io.Writer) error {
 	if *budget == 0 {
 		return fmt.Errorf("elide: -budget must be > 0")
 	}
-	ins, del, _ := strings.Cut(*mixFlag, ",")
-	insPct, err1 := strconv.Atoi(ins)
-	delPct, err2 := strconv.Atoi(del)
-	if err1 != nil || err2 != nil || insPct < 0 || delPct < 0 || insPct+delPct > 100 {
-		return fmt.Errorf("elide: bad -mix %q: want insertPct,deletePct, each >= 0, summing to at most 100", *mixFlag)
+	mix, err := harness.ParseMix(*mixFlag)
+	if err != nil {
+		return fmt.Errorf("elide: -mix: %w", err)
 	}
-	mix := harness.Mix{InsertPct: insPct, DeletePct: delPct}
 	st := harness.StructTree
 	if *structure == "hashtable" {
 		st = harness.StructHash
@@ -134,7 +130,7 @@ func run(args []string, stdout io.Writer) error {
 	if *traceJSON != "" {
 		tr = trace.New(0)
 	}
-	res := harness.RunDataStructureObserved(cfg, col, tr)
+	res := harness.NewInstance(nil).RunObserved(cfg, col, tr)
 	s := res.Stats
 
 	fmt.Fprintf(stdout, "%s over %s, %d threads, size %d, %s, %d cycles\n",

@@ -188,8 +188,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	r := harness.NewRunner()
-	r.Workers = fc.Workers
-	r.Shards = fc.Shards
+	r.Fleet = fc
 	r.Flight = true
 
 	doc := Document{

@@ -83,13 +83,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	r := harness.NewRunner()
-	r.Workers = fc.Workers
-	r.Shards = fc.Shards
+	r.Fleet = fc
 	prof := fleet.NewProfile()
-	r.Profile = prof
+	r.Fleet.Profile = prof
 	// The progress line carries live fleet state: worker occupancy, steals,
 	// and the prefill-cache hit rate so far.
-	r.Progress = fleet.TTYProgressStatus(os.Stderr, "points", func() string {
+	r.Fleet.Progress = fleet.TTYProgressStatus(os.Stderr, "points", func() string {
 		s := prof.StatusLine()
 		if hits, misses := r.PrefillStats(); hits+misses > 0 {
 			if s != "" {
@@ -115,9 +114,7 @@ func run(args []string, stdout io.Writer) error {
 		{name: "figure9", gen: func() ([]harness.Table, error) { return harness.Figure9(r, sc), nil }},
 		{name: "figure10", gen: func() ([]harness.Table, error) { return harness.Figure10(r, sc), nil }},
 		{name: "hashtable", gen: func() ([]harness.Table, error) { return harness.HashTableComparison(r, sc), nil }},
-		{name: "figure11", gen: func() ([]harness.Table, error) {
-			return harness.Figure11(ssc, fc.Workers, r.Progress)
-		}},
+		{name: "figure11", gen: func() ([]harness.Table, error) { return harness.Figure11(r, ssc) }},
 		{name: "analysis", gen: func() ([]harness.Table, error) { return harness.AnalysisTables(r, sc), nil }},
 		{name: "figure9-smt", gen: func() ([]harness.Table, error) { return harness.SMTFigure9(r, sc, 4), nil }},
 		{name: "scm-groups", gen: func() ([]harness.Table, error) { return harness.GroupedSCMAblation(r, sc), nil }},

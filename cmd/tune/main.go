@@ -74,9 +74,9 @@ func run(args []string, stdout *os.File) error {
 		if !slices.Contains(core.LockNames(), *lockName) {
 			return fmt.Errorf("tune: unknown -lock %q (known: %s)", *lockName, strings.Join(core.LockNames(), "|"))
 		}
-		var mix harness.Mix
-		if _, err := fmt.Sscanf(strings.ReplaceAll(*mixFlag, ",", " "), "%d %d", &mix.InsertPct, &mix.DeletePct); err != nil {
-			return fmt.Errorf("tune: bad -mix %q: %w", *mixFlag, err)
+		mix, err := harness.ParseMix(*mixFlag)
+		if err != nil {
+			return fmt.Errorf("tune: -mix: %w", err)
 		}
 		st := harness.StructTree
 		if *structure == "hashtable" {

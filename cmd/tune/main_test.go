@@ -13,14 +13,23 @@ import (
 )
 
 // TestRejectsBadFlags: malformed search or workload flags exit non-zero with
-// a usage message before any simulation starts.
+// a usage message before any simulation starts (nothing reaches stdout).
 func TestRejectsBadFlags(t *testing.T) {
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
 	for name, args := range map[string][]string{
 		"fixed scheme":      {"-scheme", "opt-slr"},
 		"unknown scheme":    {"-scheme", "adaptive-slrr"},
 		"unknown lock":      {"-lock", "mcss"},
 		"unknown structure": {"-structure", "splay"},
 		"bad mix":           {"-mix", "garbage"},
+		"three-field mix":   {"-mix", "10,10,10"},
+		"mix over 100%":     {"-mix", "90,90"},
+		"negative mix":      {"-mix", "-5,10"},
+		"non-numeric mix":   {"-mix", "a,b"},
 		"zero threads":      {"-threads", "-3"},
 		"negative size":     {"-size", "-1"},
 		"zero seeds":        {"-seeds", "0"},
@@ -30,9 +39,16 @@ func TestRejectsBadFlags(t *testing.T) {
 		"negative j":        {"-j", "-1"},
 		"stray argument":    {"stray"},
 	} {
-		if err := run(args, os.Stdout); err == nil {
+		if err := run(args, out); err == nil {
 			t.Errorf("%s: run(%v) accepted", name, args)
 		}
+	}
+	fi, err := out.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 0 {
+		t.Errorf("rejected runs wrote %d bytes to stdout", fi.Size())
 	}
 }
 

@@ -20,6 +20,7 @@ package fleet
 import (
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -250,25 +251,32 @@ func (g *Merger[T]) Sorted() []T {
 	return out
 }
 
-// TTYProgress returns a Progress callback rendering a carriage-return
+// TTYProgressStatus returns a Progress callback rendering a carriage-return
 // progress line ("\r  done/total label") to w, with a newline once the
-// campaign completes — the shared progress reporter of the cmd tools.
-func TTYProgress(w io.Writer, label string) func(done, total int) {
-	return TTYProgressStatus(w, label, nil)
-}
-
-// TTYProgressStatus is TTYProgress with a live status suffix: when status is
-// non-nil and returns a non-empty string, it is appended in brackets
-// ("\r  done/total label [status]"). The cmd tools feed it live fleet state
-// — worker occupancy from Profile.StatusLine, prefill-cache hit rates — so
-// a long campaign shows what the fleet is doing, not just how far it is.
-// The line is padded so a shrinking status never leaves stale characters.
-// Run serializes its Progress calls; the callback also serializes itself,
-// so one reporter can be shared between concurrent Runs.
+// campaign completes — the shared progress reporter of the cmd tools. When
+// status is non-nil and returns a non-empty string, it is appended in
+// brackets ("\r  done/total label [status]"). The cmd tools feed it live
+// fleet state — worker occupancy from Profile.StatusLine, prefill-cache hit
+// rates — so a long campaign shows what the fleet is doing, not just how far
+// it is. The line is padded so a shrinking status never leaves stale
+// characters. When w is a file that is not a terminal (a CI log, a
+// redirected run), nothing would erase the redraws, so only each campaign's
+// final line is written. Run serializes its Progress calls; the callback
+// also serializes itself, so one reporter can be shared between concurrent
+// Runs.
 func TTYProgressStatus(w io.Writer, label string, status func() string) func(done, total int) {
+	redraw := true
+	if f, ok := w.(*os.File); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode()&os.ModeCharDevice == 0 {
+			redraw = false
+		}
+	}
 	var mu sync.Mutex
 	width := 0
 	return func(done, total int) {
+		if !redraw && done < total {
+			return
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		line := fmt.Sprintf("  %d/%d %s", done, total, label)
@@ -276,6 +284,10 @@ func TTYProgressStatus(w io.Writer, label string, status func() string) func(don
 			if s := status(); s != "" {
 				line += " [" + s + "]"
 			}
+		}
+		if !redraw {
+			fmt.Fprintln(w, line)
+			return
 		}
 		// Pad to the longest line ever drawn, not just the previous one: a
 		// status like "busy N/M steals K" shrinks and regrows between

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -157,7 +158,7 @@ func TestFlagsValidation(t *testing.T) {
 // TestTTYProgress renders the final newline exactly at completion.
 func TestTTYProgress(t *testing.T) {
 	var sb strings.Builder
-	p := TTYProgress(&sb, "points")
+	p := TTYProgressStatus(&sb, "points", nil)
 	p(1, 2)
 	p(2, 2)
 	out := sb.String()
@@ -166,6 +167,24 @@ func TestTTYProgress(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "\n") {
 		t.Fatalf("no trailing newline after completion: %q", out)
+	}
+}
+
+// TestProgressToFileWritesFinalLineOnly: reporting to a file that is not a
+// terminal skips the redraws, leaving one plain line per campaign.
+func TestProgressToFileWritesFinalLineOnly(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	Run(Config{Workers: 4, Progress: TTYProgressStatus(f, "points", nil)}, 50, func(_, _ int) {})
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(out), "  50/50 points\n"; got != want {
+		t.Fatalf("progress file holds %q, want %q", got, want)
 	}
 }
 

@@ -35,7 +35,7 @@ func BenchmarkFleetCampaign(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r := NewRunner()
-				r.Workers = j
+				r.Fleet.Workers = j
 				r.RunAll(grid)
 			}
 		})

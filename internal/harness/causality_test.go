@@ -75,10 +75,10 @@ func TestCausalityDeterministic(t *testing.T) {
 // invariant to the causality engine: attaching it must not perturb the run.
 func TestCausalRunMatchesUnobserved(t *testing.T) {
 	cfg := TestScale().Section4Config(SchemeHLE, LockMCS)
-	plain := RunDataStructure(cfg)
+	plain := NewInstance(nil).Run(cfg)
 	col := newCollector(cfg)
 	causality.Attach(col, causality.Config{})
-	res := RunDataStructureObserved(cfg, col, nil)
+	res := NewInstance(nil).RunObserved(cfg, col, nil)
 	if plain.Stats != res.Stats || plain.Cycles != res.Cycles {
 		t.Fatalf("causal run diverged:\nplain  %+v (%d cycles)\ncausal %+v (%d cycles)",
 			plain.Stats, plain.Cycles, res.Stats, res.Cycles)

@@ -6,7 +6,6 @@ import (
 
 	"elision/internal/fleet"
 	"elision/internal/obs/causality"
-	"elision/internal/obs/flight"
 	"elision/internal/obs/rollup"
 )
 
@@ -105,20 +104,16 @@ func distillDiagnosis(cfg DSConfig, res Result, eng *causality.Engine) DiagnoseR
 	}
 }
 
-// Diagnose runs the panel on the scale's §4 serialization-dynamics workload
-// and assembles the verdict document. Points run in parallel on the fleet
-// (fc zero value = one worker per host CPU); Runs keeps the panel's order
-// regardless of completion order.
-func Diagnose(sc Scale, panel []DiagnosePoint, ccfg causality.Config, fc fleet.Config) Diagnosis {
-	return DiagnoseRollup(sc, panel, ccfg, fc, nil)
-}
-
-// DiagnoseRollup is Diagnose with campaign capture: when ru is non-nil,
-// every panel point's collector — carrying the causality engine and a
-// flight recorder — folds into ru, so the panel's full observability
-// (flight_* chain analytics included) is available as a rollup text report
-// or Prometheus exposition. Folding is order-independent, so the rollup's
-// artifacts are byte-identical at any worker count.
+// DiagnoseRollup runs the panel on the scale's §4 serialization-dynamics
+// workload and assembles the verdict document. The points run on a Runner
+// configured by fc (zero value = one worker per host CPU), on pooled
+// instances sharing one FillCache, so the panel pays one cold fill; Runs
+// keeps the panel's order and length regardless of completion order. When ru is non-nil, every point's
+// collector — carrying the causality engine and a flight recorder — folds
+// into ru, so the panel's full observability (flight_* chain analytics
+// included) is available as a rollup text report or Prometheus exposition.
+// Folding is order-independent, so the rollup's artifacts are
+// byte-identical at any worker count.
 func DiagnoseRollup(sc Scale, panel []DiagnosePoint, ccfg causality.Config, fc fleet.Config, ru *rollup.Campaign) Diagnosis {
 	ref := sc.Section4Config(SchemeHLE, LockMCS)
 	d := Diagnosis{
@@ -128,19 +123,17 @@ func DiagnoseRollup(sc Scale, panel []DiagnosePoint, ccfg causality.Config, fc f
 		Threads:      ref.Threads,
 		BudgetCycles: ref.BudgetCycles,
 		Seed:         ref.Seed,
+		Runs:         make([]DiagnoseResult, len(panel)),
 	}
-	d.Runs = fleet.Collect(fc, len(panel), func(i int) DiagnoseResult {
+	r := NewRunner()
+	r.Fleet = fc
+	r.fanOut(len(panel), func(in *Instance, i int) {
 		cfg := sc.Section4Config(panel[i].Scheme, panel[i].Lock)
-		col := newCollector(cfg)
-		eng := causality.Attach(col, ccfg)
-		if ru != nil {
-			flight.Attach(col, flight.Config{MaxChains: -1})
-		}
-		res := RunDataStructureObserved(cfg, col, nil)
+		res, col, eng := observe(in, cfg, ccfg, ru != nil)
 		if ru != nil {
 			ru.AddRun(col)
 		}
-		return distillDiagnosis(cfg, res, eng)
+		d.Runs[i] = distillDiagnosis(cfg, res, eng)
 	})
 	return d
 }

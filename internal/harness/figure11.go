@@ -29,8 +29,10 @@ func TestStampScale() StampScale {
 
 // Figure11 regenerates §7.2: the runtime of each STAMP application under
 // every scheme, normalized to the plain non-speculative lock of the same
-// type (lower is better). One table per lock.
-func Figure11(sc StampScale, workers int, progress func(done, total int)) ([]Table, error) {
+// type (lower is better). One table per lock. The STAMP runs are not
+// benchmark points, so they bypass r's instance pool and memo cache, but
+// fan out under r's fleet config: its workers, shards, progress and profile.
+func Figure11(r *Runner, sc StampScale) ([]Table, error) {
 	apps := stamp.Names()
 	schemes := []SchemeID{SchemeStandard, SchemeHLE, SchemeHLESCM, SchemeOptSLR, SchemeSLRSCM, SchemeHLERetries}
 	lockIDs := []LockID{LockTTAS, LockMCS}
@@ -53,7 +55,7 @@ func Figure11(sc StampScale, workers int, progress func(done, total int)) ([]Tab
 		res stamp.Result
 		err error
 	}
-	outs := fleet.Collect(fleet.Config{Workers: workers, Progress: progress}, len(cfgs),
+	outs := fleet.Collect(r.Fleet, len(cfgs),
 		func(i int) runOut {
 			res, err := stamp.Run(cfgs[i])
 			return runOut{res, err}

@@ -129,11 +129,14 @@ func Figure2(r *Runner, sc Scale) []Table {
 // of non-speculative completions, for HLE over TTAS and MCS.
 func Figure3(r *Runner, sc Scale) []Table {
 	nt := sc.maxThreads()
+	cfgs := make([]DSConfig, len(benchLocks))
+	for i, lock := range benchLocks {
+		cfgs[i] = sc.point(64, MixModerate, SchemeHLE, lock, nt)
+		cfgs[i].SlotCycles = sc.SlotCycles
+	}
 	var tables []Table
-	for _, lock := range benchLocks {
-		cfg := sc.point(64, MixModerate, SchemeHLE, lock, nt)
-		cfg.SlotCycles = sc.SlotCycles
-		res := r.Run(cfg)
+	for i, res := range r.RunAll(cfgs) {
+		lock := benchLocks[i]
 		var total uint64
 		used := 0
 		for _, s := range res.Slots {
@@ -202,8 +205,7 @@ func Figure4(r *Runner, sc Scale) []Table {
 // locking.
 func Figure9(r *Runner, sc Scale) []Table {
 	size := 128
-	base := r.Run(sc.point(size, MixModerate, SchemeNoLock, LockTTAS, 1))
-	var cfgs []DSConfig
+	cfgs := []DSConfig{sc.point(size, MixModerate, SchemeNoLock, LockTTAS, 1)}
 	for _, lock := range benchLocks {
 		for _, s := range AllSchemes {
 			for _, th := range sc.Threads {
@@ -211,7 +213,7 @@ func Figure9(r *Runner, sc Scale) []Table {
 			}
 		}
 	}
-	r.RunAll(cfgs)
+	base := r.RunAll(cfgs)[0]
 
 	var tables []Table
 	for _, lock := range benchLocks {
@@ -283,23 +285,28 @@ func Figure10(r *Runner, sc Scale) []Table {
 func HashTableComparison(r *Runner, sc Scale) []Table {
 	nt := sc.maxThreads()
 	size := 4096
-	var tables []Table
+	var cfgs []DSConfig
 	for _, lock := range benchLocks {
+		for _, s := range AllSchemes {
+			cfgs = append(cfgs, DSConfig{
+				Structure: StructHash, Threads: nt, Size: size, Mix: MixModerate,
+				Scheme: s, Lock: lock, BudgetCycles: sc.Budget,
+				Seed: sc.Seed, Quantum: sc.Quantum,
+			})
+		}
+	}
+	res := r.RunAll(cfgs)
+
+	var tables []Table
+	for i, lock := range benchLocks {
 		t := Table{
 			Title:   fmt.Sprintf("Hash table (size %d, 20%% updates, %d threads): speedup vs standard %s lock", size, nt, lock),
 			Columns: append([]string{"scheme"}, "speedup"),
 		}
-		std := DSConfig{
-			Structure: StructHash, Threads: nt, Size: size, Mix: MixModerate,
-			Scheme: SchemeStandard, Lock: lock, BudgetCycles: sc.Budget,
-			Seed: sc.Seed, Quantum: sc.Quantum,
-		}
-		stdRes := r.Run(std)
-		for _, s := range AllSchemes[1:] {
-			cfg := std
-			cfg.Scheme = s
-			res := r.Run(cfg)
-			t.AddRow(string(s), F2(ratio(res.Throughput(), stdRes.Throughput())))
+		// This lock's row of results, in AllSchemes order: standard first.
+		row := res[i*len(AllSchemes) : (i+1)*len(AllSchemes)]
+		for j, s := range AllSchemes[1:] {
+			t.AddRow(string(s), F2(ratio(row[j+1].Throughput(), row[0].Throughput())))
 		}
 		tables = append(tables, t)
 	}

@@ -57,7 +57,7 @@ func TestGoldenFigureDigests(t *testing.T) {
 		{"figure9", func(t *testing.T) []Table { return Figure9(r, sc) }},
 		{"figure10", func(t *testing.T) []Table { return Figure10(r, sc) }},
 		{"figure11", func(t *testing.T) []Table {
-			tabs, err := Figure11(TestStampScale(), 4, nil)
+			tabs, err := Figure11(r, TestStampScale())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func presetVariants() []presetVariant {
 // changes the digest even when the totals do not.
 func digestPresetRun(cfg DSConfig) string {
 	tr := trace.New(0)
-	res := RunDataStructureObserved(cfg, nil, tr)
+	res := NewInstance(nil).RunObserved(cfg, nil, tr)
 	h := sha256.New()
 	fmt.Fprintf(h, "%+v\n%d\n", res.Stats, res.Cycles)
 	for _, e := range tr.Events() {

@@ -12,12 +12,12 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"elision/internal/core"
 	"elision/internal/htm"
 	"elision/internal/locks"
-	"elision/internal/obs"
-	"elision/internal/trace"
 )
 
 // LockID selects a lock implementation.
@@ -94,6 +94,18 @@ func (x Mix) Name() string {
 	default:
 		return fmt.Sprintf("%d%%ins/%d%%del", x.InsertPct, x.DeletePct)
 	}
+}
+
+// ParseMix parses a mix written "insertPct,deletePct" (the rest lookups):
+// exactly two integers, each >= 0, summing to at most 100.
+func ParseMix(s string) (Mix, error) {
+	ins, del, _ := strings.Cut(s, ",")
+	insPct, err1 := strconv.Atoi(ins)
+	delPct, err2 := strconv.Atoi(del)
+	if err1 != nil || err2 != nil || insPct < 0 || delPct < 0 || insPct+delPct > 100 {
+		return Mix{}, fmt.Errorf("bad mix %q: want insertPct,deletePct, each >= 0, summing to at most 100", s)
+	}
+	return Mix{InsertPct: insPct, DeletePct: delPct}, nil
 }
 
 // Structure selects the benchmark data structure.
@@ -215,22 +227,4 @@ type dataStructure interface {
 	Insert(ac htm.Accessor, key, val int64) bool
 	Delete(ac htm.Accessor, key int64) bool
 	Lookup(ac htm.Accessor, key int64) (int64, bool)
-}
-
-// RunDataStructure executes one benchmark point and returns its result.
-// Runs are deterministic functions of the config.
-func RunDataStructure(cfg DSConfig) Result {
-	return RunDataStructureObserved(cfg, nil, nil)
-}
-
-// RunDataStructureObserved is RunDataStructure with observability attached:
-// col (when non-nil) receives the run's metrics, hot lines and time series,
-// and tr (when non-nil) records the run's events for timelines and
-// Chrome-trace export. Instrumentation only reads the simulation, so an
-// observed run's virtual-time results equal the unobserved run's.
-//
-// Each call builds a throwaway Instance; campaigns reuse pooled instances
-// via Runner / fleet instead.
-func RunDataStructureObserved(cfg DSConfig, col *obs.Collector, tr *trace.Tracer) Result {
-	return NewInstance(nil).RunObserved(cfg, col, tr)
 }

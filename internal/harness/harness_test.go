@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"elision/internal/core"
+	"elision/internal/fleet"
 )
 
 func TestRunDataStructureDeterministic(t *testing.T) {
@@ -13,8 +14,8 @@ func TestRunDataStructureDeterministic(t *testing.T) {
 		Scheme: SchemeHLESCM, Lock: LockMCS, BudgetCycles: 100_000,
 		Seed: 9, Quantum: 64,
 	}
-	a := RunDataStructure(cfg)
-	b := RunDataStructure(cfg)
+	a := NewInstance(nil).Run(cfg)
+	b := NewInstance(nil).Run(cfg)
 	if a.Stats != b.Stats || a.Cycles != b.Cycles {
 		t.Fatalf("replay diverged: %+v vs %+v", a.Stats, b.Stats)
 	}
@@ -26,7 +27,7 @@ func TestRunDataStructureDeterministic(t *testing.T) {
 func TestRunnerMemoizes(t *testing.T) {
 	r := NewRunner()
 	computed := 0
-	r.Progress = func(done, total int) { computed++ }
+	r.Fleet.Progress = func(done, total int) { computed++ }
 	cfg := DSConfig{
 		Structure: StructHash, Threads: 2, Size: 64, Mix: MixLookupOnly,
 		Scheme: SchemeHLE, Lock: LockTTAS, BudgetCycles: 50_000, Seed: 1, Quantum: 64,
@@ -113,13 +114,21 @@ func TestFigure3Emits(t *testing.T) {
 	}
 }
 
+// TestFigure11Smoke also checks that the STAMP sweep fans out under the
+// runner's fleet config: its profile records one job span per STAMP run
+// (9 apps × 2 locks × 6 schemes).
 func TestFigure11Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full STAMP sweep")
 	}
-	tabs, err := Figure11(TestStampScale(), 2, nil)
+	r := NewRunner()
+	r.Fleet = fleet.Config{Workers: 2, Profile: fleet.NewProfile()}
+	tabs, err := Figure11(r, TestStampScale())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := len(r.Fleet.Profile.Events()); got != 108 {
+		t.Fatalf("fleet profile recorded %d job spans, want 108", got)
 	}
 	if len(tabs) != 2 {
 		t.Fatalf("Figure11 produced %d tables, want 2", len(tabs))
@@ -191,9 +200,9 @@ func TestRawHLEOverBackoffTTASMatchesTTAS(t *testing.T) {
 	} {
 		cfg.Scheme = SchemeHLE
 		cfg.Lock = LockTTAS
-		want := RunDataStructure(cfg)
+		want := NewInstance(nil).Run(cfg)
 		cfg.Lock = core.LockNameTTASBackoff
-		got := RunDataStructure(cfg)
+		got := NewInstance(nil).Run(cfg)
 		if got.Stats != want.Stats || got.Cycles != want.Cycles {
 			t.Errorf("%s size %d cores %d: ttas-backoff %+v in %d cycles, ttas %+v in %d cycles",
 				cfg.Structure, cfg.Size, cfg.Cores, got.Stats, got.Cycles, want.Stats, want.Cycles)

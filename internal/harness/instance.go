@@ -191,9 +191,12 @@ func coldFill(hm *htm.Memory, cfg DSConfig, ds dataStructure, domain uint64) {
 	}
 }
 
-// RunObserved executes one benchmark point with observability attached (see
-// RunDataStructureObserved), reusing the instance's machine and memory via
-// reset-instead-of-rebuild.
+// RunObserved executes one benchmark point with observability attached,
+// reusing the instance's machine and memory via reset-instead-of-rebuild:
+// col (when non-nil) receives the run's metrics, hot lines and time series,
+// and tr (when non-nil) records the run's events for timelines and
+// Chrome-trace export. Instrumentation only reads the simulation, so an
+// observed run's virtual-time results equal the unobserved run's.
 func (in *Instance) RunObserved(cfg DSConfig, col *obs.Collector, tr *trace.Tracer) Result {
 	simCfg := sim.Config{Procs: cfg.Threads, Seed: cfg.Seed, Quantum: cfg.Quantum, Cores: cfg.Cores}
 	memCfg := htm.Config{Words: memoryWords(cfg), AbortOnDangerousWhileUnsubscribed: cfg.HWFix}

@@ -39,7 +39,7 @@ func TestInstanceReuseMatchesFresh(t *testing.T) {
 	in := NewInstance(nil)
 	for i, cfg := range seq {
 		pooled := in.Run(cfg)
-		fresh := RunDataStructure(cfg)
+		fresh := NewInstance(nil).Run(cfg)
 		if !reflect.DeepEqual(pooled, fresh) {
 			t.Fatalf("step %d (%s/%s/%s): pooled result diverges from fresh\npooled: %+v\nfresh:  %+v",
 				i, cfg.Structure, cfg.Scheme, cfg.Lock, pooled, fresh)
@@ -148,7 +148,7 @@ func TestFillCachePanickedFillReleasesWaiters(t *testing.T) {
 	}
 	select {
 	case res := <-got:
-		if want := RunDataStructure(cfg); !reflect.DeepEqual(res, want) {
+		if want := NewInstance(nil).Run(cfg); !reflect.DeepEqual(res, want) {
 			t.Fatalf("run after a failed fill diverges from a fresh run")
 		}
 	case <-time.After(time.Minute):
@@ -174,10 +174,10 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 
 	serial := NewRunner()
-	serial.Workers = 1
+	serial.Fleet.Workers = 1
 	wide := NewRunner()
-	wide.Workers = 8
-	wide.Shards = 5 // deliberately mismatched geometry
+	wide.Fleet.Workers = 8
+	wide.Fleet.Shards = 5 // deliberately mismatched geometry
 
 	got1 := serial.RunAll(grid)
 	got8 := wide.RunAll(grid)
@@ -192,9 +192,9 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestFigureDigestWorkerInvariance(t *testing.T) {
 	sc := TestScale()
 	serial := NewRunner()
-	serial.Workers = 1
+	serial.Fleet.Workers = 1
 	wide := NewRunner()
-	wide.Workers = 8
+	wide.Fleet.Workers = 8
 
 	d1 := digestTables(Figure9(serial, sc))
 	d8 := digestTables(Figure9(wide, sc))

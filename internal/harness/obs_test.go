@@ -65,7 +65,7 @@ func TestHotLineProfilerLockAbsentUnderOptSLR(t *testing.T) {
 func TestObservedRunMatchesUnobserved(t *testing.T) {
 	sc := TestScale()
 	cfg := sc.Section4Config(SchemeHLESCM, LockMCS)
-	plain := RunDataStructure(cfg)
+	plain := NewInstance(nil).Run(cfg)
 	observed, _, _, _, _ := FlightRun(cfg, causality.Config{}, flight.Config{})
 	if plain.Stats != observed.Stats || plain.Cycles != observed.Cycles {
 		t.Fatalf("observed run diverged:\nplain    %+v (%d cycles)\nobserved %+v (%d cycles)",

@@ -48,6 +48,19 @@ func FlightRun(cfg DSConfig, ccfg causality.Config, fcfg flight.Config) (Result,
 	eng := causality.Attach(col, ccfg)
 	rec := flight.Attach(col, fcfg)
 	tr := trace.New(0)
-	res := RunDataStructureObserved(cfg, col, tr)
+	res := NewInstance(nil).RunObserved(cfg, col, tr)
 	return res, col, tr, eng, rec
+}
+
+// observe runs one point on in with a fresh collector carrying the
+// abort-causality engine and, when withFlight, a flight recorder. Raw chains
+// are not needed by the callers — the flight_* registry families carry the
+// analytics — so the recorder keeps aggregates only.
+func observe(in *Instance, cfg DSConfig, ccfg causality.Config, withFlight bool) (Result, *obs.Collector, *causality.Engine) {
+	col := newCollector(cfg)
+	eng := causality.Attach(col, ccfg)
+	if withFlight {
+		flight.Attach(col, flight.Config{MaxChains: -1})
+	}
+	return in.RunObserved(cfg, col, nil), col, eng
 }

@@ -37,7 +37,7 @@ func rollupGrid() []DSConfig {
 func campaignArtifacts(t *testing.T, workers, shards int) (string, string, []Result) {
 	t.Helper()
 	r := NewRunner()
-	r.Workers, r.Shards = workers, shards
+	r.Fleet.Workers, r.Fleet.Shards = workers, shards
 	ru := rollup.New()
 	res := r.RunAllRollup(rollupGrid(), ru)
 	var text, prom bytes.Buffer
@@ -90,20 +90,20 @@ func TestRunAllRollupMatchesUnobserved(t *testing.T) {
 // the runner's pooling metrics lint and reflect the pool.
 func TestRunnerProfileAndMetrics(t *testing.T) {
 	r := NewRunner()
-	r.Workers = 2
-	r.Profile = fleet.NewProfile()
+	r.Fleet.Workers = 2
+	r.Fleet.Profile = fleet.NewProfile()
 	grid := rollupGrid()
 	r.RunAllRollup(grid, rollup.New())
-	if got := r.Profile.Jobs(); got != uint64(len(grid)) {
+	if got := r.Fleet.Profile.Jobs(); got != uint64(len(grid)) {
 		t.Fatalf("profile saw %d jobs, want %d", got, len(grid))
 	}
-	if r.Profile.Workers() != 2 {
-		t.Fatalf("profile saw %d workers, want 2", r.Profile.Workers())
+	if r.Fleet.Profile.Workers() != 2 {
+		t.Fatalf("profile saw %d workers, want 2", r.Fleet.Profile.Workers())
 	}
 
 	reg := obs.NewRegistry()
 	r.Metrics(reg)
-	r.Profile.Metrics(reg)
+	r.Fleet.Profile.Metrics(reg)
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
 	if err := obs.LintPrometheus(bytes.NewReader(buf.Bytes())); err != nil {

@@ -1,12 +1,12 @@
 package harness
 
 import (
+	"slices"
 	"sync"
 
 	"elision/internal/fleet"
 	"elision/internal/obs"
 	"elision/internal/obs/causality"
-	"elision/internal/obs/flight"
 	"elision/internal/obs/rollup"
 )
 
@@ -23,21 +23,13 @@ type Runner struct {
 	cache map[DSConfig]Result
 	fills *FillCache
 	// pool holds one reusable Instance per fleet worker, grown on demand and
-	// kept across RunAll calls so later figures reuse earlier snapshots.
+	// kept across fan-outs so later figures reuse earlier snapshots.
 	pool []*Instance
-	// solo is the instance used by single-point Run calls.
-	solo   *Instance
-	soloMu sync.Mutex
-	// Workers is the number of host goroutines for RunAll (0 = one per host
-	// CPU).
-	Workers int
-	// Shards is the number of work-stealing shards (0 = one per worker).
-	Shards int
-	// Progress, when non-nil, is called after each completed point.
-	Progress func(done, total int)
-	// Profile, when non-nil, records the fleet's own execution (job spans,
-	// steals, occupancy) across every RunAll/RunAllRollup fan-out.
-	Profile *fleet.Profile
+	// Fleet configures every fan-out: its workers (0 = one per host CPU),
+	// work-stealing shards, a Progress callback after each computed point,
+	// and a Profile recording the fleet's own execution (job spans, steals,
+	// occupancy).
+	Fleet fleet.Config
 	// Flight, when true, additionally attaches a flight recorder to every
 	// RunAllRollup point, so the campaign rollup folds the flight_* chain
 	// analytics (cycle partition, cycles-to-commit percentiles) alongside
@@ -47,11 +39,9 @@ type Runner struct {
 
 // NewRunner returns a Runner using one worker per host CPU.
 func NewRunner() *Runner {
-	fills := NewFillCache()
 	return &Runner{
 		cache: make(map[DSConfig]Result),
-		fills: fills,
-		solo:  NewInstance(fills),
+		fills: NewFillCache(),
 	}
 }
 
@@ -61,21 +51,10 @@ func (r *Runner) PrefillStats() (hits, misses uint64) {
 	return r.fills.Stats()
 }
 
-// Run returns the result for one point, computing it if needed.
+// Run returns the result for one point, computing it as a one-point RunAll
+// if needed.
 func (r *Runner) Run(cfg DSConfig) Result {
-	r.mu.Lock()
-	if res, ok := r.cache[cfg]; ok {
-		r.mu.Unlock()
-		return res
-	}
-	r.mu.Unlock()
-	r.soloMu.Lock()
-	res := r.solo.Run(cfg)
-	r.soloMu.Unlock()
-	r.mu.Lock()
-	r.cache[cfg] = res
-	r.mu.Unlock()
-	return res
+	return r.RunAll([]DSConfig{cfg})[0]
 }
 
 // RunAll computes every config, fanning out across the fleet, and returns
@@ -83,41 +62,17 @@ func (r *Runner) Run(cfg DSConfig) Result {
 // completion order: each point is a deterministic function of its config,
 // and aggregation is by input index, never arrival.
 func (r *Runner) RunAll(cfgs []DSConfig) []Result {
-	// Deduplicate against the cache first.
-	var todo []DSConfig
 	r.mu.Lock()
-	seen := make(map[DSConfig]bool, len(cfgs))
-	for _, c := range cfgs {
-		if _, ok := r.cache[c]; !ok && !seen[c] {
-			todo = append(todo, c)
-			seen[c] = true
-		}
-	}
+	todo := slices.DeleteFunc(unique(cfgs), func(c DSConfig) bool {
+		_, ok := r.cache[c]
+		return ok
+	})
 	r.mu.Unlock()
-
-	if len(todo) > 0 {
-		fc := r.fleetConfig()
-		for len(r.pool) < fc.WorkerCount(len(todo)) {
-			r.pool = append(r.pool, NewInstance(r.fills))
-		}
-		results := make([]Result, len(todo))
-		fleet.Run(fc, len(todo), func(w, i int) {
-			results[i] = r.pool[w].Run(todo[i])
-		})
-		r.mu.Lock()
-		for i, c := range todo {
-			r.cache[c] = results[i]
-		}
-		r.mu.Unlock()
-	}
-
-	out := make([]Result, len(cfgs))
-	r.mu.Lock()
-	for i, c := range cfgs {
-		out[i] = r.cache[c]
-	}
-	r.mu.Unlock()
-	return out
+	results := make([]Result, len(todo))
+	r.fanOut(len(todo), func(in *Instance, i int) {
+		results[i] = in.Run(todo[i])
+	})
+	return r.remember(todo, results, cfgs)
 }
 
 // CachedConfigs returns every config the runner has computed so far, in
@@ -134,11 +89,6 @@ func (r *Runner) CachedConfigs() []DSConfig {
 	return out
 }
 
-// fleetConfig assembles the fleet configuration from the runner's knobs.
-func (r *Runner) fleetConfig() fleet.Config {
-	return fleet.Config{Workers: r.Workers, Shards: r.Shards, Progress: r.Progress, Profile: r.Profile}
-}
-
 // RunAllRollup computes every config with full observability attached —
 // a fresh collector plus abort-causality engine per point — folding each
 // finished run into ru and returning results in input order. Configs are
@@ -148,46 +98,52 @@ func (r *Runner) fleetConfig() fleet.Config {
 // every point's collector is a deterministic function of its config, and
 // Campaign.AddRun folds order-independently.
 func (r *Runner) RunAllRollup(cfgs []DSConfig, ru *rollup.Campaign) []Result {
-	var todo []DSConfig
+	todo := unique(cfgs)
+	results := make([]Result, len(todo))
+	r.fanOut(len(todo), func(in *Instance, i int) {
+		res, col, _ := observe(in, todo[i], causality.Config{}, r.Flight)
+		results[i] = res
+		ru.AddRun(col)
+	})
+	return r.remember(todo, results, cfgs)
+}
+
+// fanOut runs job(in, i) for every i in [0, n) across the runner's fleet,
+// handing each job the pooled instance of the worker that runs it.
+func (r *Runner) fanOut(n int, job func(in *Instance, i int)) {
+	if n == 0 {
+		return
+	}
+	for len(r.pool) < r.Fleet.WorkerCount(n) {
+		r.pool = append(r.pool, NewInstance(r.fills))
+	}
+	fleet.Run(r.Fleet, n, func(w, i int) { job(r.pool[w], i) })
+}
+
+// remember caches the computed results and returns the result of every cfg
+// in input order.
+func (r *Runner) remember(todo []DSConfig, results []Result, cfgs []DSConfig) []Result {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, c := range todo {
+		r.cache[c] = results[i]
+	}
+	out := make([]Result, len(cfgs))
+	for i, c := range cfgs {
+		out[i] = r.cache[c]
+	}
+	return out
+}
+
+// unique returns cfgs without repeats, in first-seen order.
+func unique(cfgs []DSConfig) []DSConfig {
+	var out []DSConfig
 	seen := make(map[DSConfig]bool, len(cfgs))
 	for _, c := range cfgs {
 		if !seen[c] {
-			todo = append(todo, c)
+			out = append(out, c)
 			seen[c] = true
 		}
-	}
-
-	results := make(map[DSConfig]Result, len(todo))
-	if len(todo) > 0 {
-		fc := r.fleetConfig()
-		for len(r.pool) < fc.WorkerCount(len(todo)) {
-			r.pool = append(r.pool, NewInstance(r.fills))
-		}
-		run := make([]Result, len(todo))
-		fleet.Run(fc, len(todo), func(w, i int) {
-			cfg := todo[i]
-			col := newCollector(cfg)
-			causality.Attach(col, causality.Config{})
-			if r.Flight {
-				// Raw chains are not needed for the fold — the flight_*
-				// registry families carry the analytics — so keep retention
-				// minimal.
-				flight.Attach(col, flight.Config{MaxChains: -1})
-			}
-			run[i] = r.pool[w].RunObserved(cfg, col, nil)
-			ru.AddRun(col)
-		})
-		r.mu.Lock()
-		for i, c := range todo {
-			r.cache[c] = run[i]
-			results[c] = run[i]
-		}
-		r.mu.Unlock()
-	}
-
-	out := make([]Result, len(cfgs))
-	for i, c := range cfgs {
-		out[i] = results[c]
 	}
 	return out
 }
@@ -206,10 +162,6 @@ func (r *Runner) Metrics(reg *obs.Registry) {
 	reg.Counter("harness_prefill_hits_total", nil).Add(hits)
 	reg.Counter("harness_prefill_misses_total", nil).Add(misses)
 	var builds, resets uint64
-	r.soloMu.Lock()
-	b, rs := r.solo.Counts()
-	r.soloMu.Unlock()
-	builds, resets = builds+b, resets+rs
 	for _, in := range r.pool {
 		b, rs := in.Counts()
 		builds, resets = builds+b, resets+rs

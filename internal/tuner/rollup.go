@@ -14,25 +14,13 @@ import (
 // at any worker count.
 func ObservedRollup(cfg Config, res Result) *rollup.Campaign {
 	cfg = cfg.withDefaults()
-	var cfgs []harness.DSConfig
-	add := func(scheme harness.SchemeID, acfg string) {
-		for s := 0; s < cfg.Seeds; s++ {
-			pt := cfg.Workload
-			pt.Scheme, pt.ACfg = scheme, acfg
-			pt.BudgetCycles = cfg.FinalBudget
-			pt.SlotCycles = 0
-			pt.Seed += uint64(s)
-			cfgs = append(cfgs, pt)
-		}
-	}
-	add(cfg.Scheme, res.Winner.Config)
-	for _, s := range baselineSchemes {
-		add(s, "")
-	}
+	schemes := append([]harness.SchemeID{cfg.Scheme}, baselineSchemes...)
+	acfgs := make([]string, len(schemes))
+	acfgs[0] = res.Winner.Config
 	r := harness.NewRunner()
-	r.Workers, r.Shards = cfg.Fleet.Workers, cfg.Fleet.Shards
+	r.Fleet = cfg.Fleet
 	r.Flight = true
 	ru := rollup.New()
-	r.RunAllRollup(cfgs, ru)
+	r.RunAllRollup(cfg.points(schemes, acfgs, cfg.FinalBudget), ru)
 	return ru
 }

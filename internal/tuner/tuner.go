@@ -200,33 +200,14 @@ var baselineSchemes = []harness.SchemeID{
 	harness.SchemeOptSLR, harness.SchemeSLRSCM,
 }
 
-// tuner carries the per-run evaluation pool.
+// tuner carries the per-run evaluation runner: one pool of simulator
+// instances and one prefill cache for every rung and the baselines.
 type tuner struct {
-	cfg       Config
-	fills     *harness.FillCache
-	instances []*harness.Instance
+	cfg Config
+	r   *harness.Runner
 }
 
-// inst returns worker w's pooled instance, building it on first use.
-func (t *tuner) inst(w int) *harness.Instance {
-	if t.instances[w] == nil {
-		t.instances[w] = harness.NewInstance(t.fills)
-	}
-	return t.instances[w]
-}
-
-// point materializes one benchmark point from the workload template.
-func (t *tuner) point(scheme harness.SchemeID, acfg string, budget uint64) harness.DSConfig {
-	cfg := t.cfg.Workload
-	cfg.Scheme = scheme
-	cfg.ACfg = acfg
-	cfg.BudgetCycles = budget
-	cfg.SlotCycles = 0
-	return cfg
-}
-
-// measure runs one (scheme, acfg) point averaged over the seed spread. The
-// caller fans (point, seed) pairs out as fleet jobs; this reduces them.
+// measurement is one (scheme, acfg) point averaged over the seed spread.
 type measurement struct {
 	opsPerMcycle   float64
 	specRatio      float64
@@ -234,19 +215,31 @@ type measurement struct {
 	forfeitOps     uint64
 }
 
+// points materializes, for every (scheme, acfg) pair, one benchmark point
+// per workload seed (Workload.Seed, +1, ...) at the given budget, seeds
+// innermost.
+func (cfg Config) points(schemes []harness.SchemeID, acfgs []string, budget uint64) []harness.DSConfig {
+	pts := make([]harness.DSConfig, 0, len(schemes)*cfg.Seeds)
+	for p, scheme := range schemes {
+		for s := 0; s < cfg.Seeds; s++ {
+			pt := cfg.Workload
+			pt.Scheme, pt.ACfg = scheme, acfgs[p]
+			pt.BudgetCycles = budget
+			pt.SlotCycles = 0
+			pt.Seed += uint64(s)
+			pts = append(pts, pt)
+		}
+	}
+	return pts
+}
+
 // measureAll evaluates every point (a scheme + adaptive config) at the
 // given budget, each averaged over cfg.Seeds workload seeds, fanning the
-// point×seed grid out on the fleet. Aggregation is keyed by job index, so
-// the output is independent of worker count and completion order.
+// point×seed grid out on the runner's fleet. Results come back in input
+// order, so the output is independent of worker count and completion order.
 func (t *tuner) measureAll(schemes []harness.SchemeID, acfgs []string, budget uint64) []measurement {
 	seeds := t.cfg.Seeds
-	n := len(schemes) * seeds
-	raw := make([]harness.Result, n)
-	fleet.Run(t.cfg.Fleet, n, func(w, i int) {
-		pt := t.point(schemes[i/seeds], acfgs[i/seeds], budget)
-		pt.Seed += uint64(i % seeds)
-		raw[i] = t.inst(w).Run(pt)
-	})
+	raw := t.r.RunAll(t.cfg.points(schemes, acfgs, budget))
 	out := make([]measurement, len(schemes))
 	for p := range out {
 		var m measurement
@@ -301,12 +294,8 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	cfg = cfg.withDefaults()
-	t := &tuner{cfg: cfg, fills: harness.NewFillCache()}
-	maxJobs := cfg.Candidates
-	if len(baselineSchemes) > maxJobs {
-		maxJobs = len(baselineSchemes)
-	}
-	t.instances = make([]*harness.Instance, cfg.Fleet.WorkerCount(maxJobs*cfg.Seeds))
+	t := &tuner{cfg: cfg, r: harness.NewRunner()}
+	t.r.Fleet = cfg.Fleet
 
 	pop := Candidates(cfg.Candidates, cfg.SpaceSeed)
 	cands := make([]candidate, len(pop))
@@ -395,7 +384,7 @@ func Run(cfg Config) (Result, error) {
 		cands = survivors
 	}
 
-	// Baselines at the final budget, same seed spread, same pooled instances.
+	// Baselines at the final budget, same seed spread, same runner.
 	bm := t.measureAll(baselineSchemes, make([]string, len(baselineSchemes)), cfg.FinalBudget)
 	base := make([]Baseline, len(baselineSchemes))
 	for i, m := range bm {
