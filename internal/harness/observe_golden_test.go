@@ -138,11 +138,27 @@ var goldenObserverDigests = map[string]string{
 	"lazysub/ttas/chronicle":          "80316065177bb7d4",
 	"lazysub/ttas/chain-perfetto":     "ee8948f48504db25",
 	"lazysub/ttas/timeline":           "6c08e3dc3a0f77c4",
-	"lemming-timeline/mcs":            "01e45ab66808440c",
+	"lemming-timeline/mcs":            "e966a071238aed41",
 	"diagnose/json":                   "b02d3623ffec1b74",
 	"diagnose/text":                   "932b2e47a3e0cdfd",
 	"diagnose/rollup-text":            "52ea38165abe42a9",
 	"diagnose/rollup-prom":            "5630a7748d11cee4",
+}
+
+// TestLemmingTimelineIsSection4Point: the timeline renders the §4 point
+// that FlightRun, the diagnose panel and elide run, so its totals line
+// equals FlightRun's tracer counts over both locks.
+func TestLemmingTimelineIsSection4Point(t *testing.T) {
+	sc := TestScale()
+	for _, lock := range []LockID{LockTTAS, LockMCS} {
+		_, _, tr, _, _ := FlightRun(sc.Section4Config(SchemeHLE, lock), causality.Config{}, flight.Config{})
+		c := tr.Counts()
+		want := fmt.Sprintf("totals: %d begins, %d commits, %d aborts, %d lock acquisitions",
+			c[obs.KindTxBegin], c[obs.KindTxCommit], c[obs.KindTxAbort], c[obs.KindLockAcquire])
+		if got := strings.Split(LemmingTimeline(sc, lock), "\n")[1]; got != want {
+			t.Errorf("%s: timeline %q, want the §4 point's %q", lock, got, want)
+		}
+	}
 }
 
 func TestGoldenObserverDigests(t *testing.T) {
