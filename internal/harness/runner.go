@@ -17,7 +17,8 @@ import (
 // pool of reusable simulator instances: each fleet worker owns one Instance
 // (machine + memory reset between points, prefill restored from the shared
 // FillCache), so a campaign allocates a handful of simulators regardless of
-// how many points it runs.
+// how many points it runs. Call a Runner from one goroutine at a time; the
+// parallelism is inside each fan-out.
 type Runner struct {
 	mu    sync.Mutex
 	cache map[DSConfig]Result
