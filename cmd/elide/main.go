@@ -22,6 +22,7 @@ import (
 	"elision/internal/obs"
 	"elision/internal/obs/causality"
 	"elision/internal/obs/flight"
+	"elision/internal/sim"
 	"elision/internal/trace"
 )
 
@@ -76,8 +77,8 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("elide: bad -adaptive %q: %w", *adaptive, err)
 		}
 	}
-	if *threads < 1 {
-		return fmt.Errorf("elide: -threads must be >= 1 (got %d)", *threads)
+	if *threads < 1 || *threads > sim.MaxProcs {
+		return fmt.Errorf("elide: -threads must be in [1,%d] (got %d)", sim.MaxProcs, *threads)
 	}
 	if *quantum == 0 {
 		return fmt.Errorf("elide: -quantum must be > 0")

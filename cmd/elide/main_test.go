@@ -44,6 +44,9 @@ func TestRejectsMalformedInput(t *testing.T) {
 		{[]string{"-mix", "10"}, "-mix"},
 		{[]string{"-mix", "ten,10"}, "-mix"},
 		{[]string{"-budget", "0"}, "-budget"},
+		{[]string{"-threads", "0"}, "-threads"},
+		{[]string{"-threads", "65"}, "-threads"},
+		{[]string{"-threads", "64"}, ""},
 		{[]string{"-size", "0"}, ""},
 		{[]string{"-mix", "0,0"}, ""},
 		{[]string{"-mix", "0,100"}, ""},

@@ -22,6 +22,7 @@ import (
 	"elision/internal/core"
 	"elision/internal/fleet"
 	"elision/internal/harness"
+	"elision/internal/sim"
 	"elision/internal/tuner"
 )
 
@@ -84,8 +85,8 @@ func run(args []string, stdout *os.File) error {
 		} else if *structure != "rbtree" {
 			return fmt.Errorf("tune: unknown -structure %q", *structure)
 		}
-		if *threads < 0 {
-			return fmt.Errorf("tune: -threads must be >= 1 (got %d)", *threads)
+		if *threads < 0 || *threads > sim.MaxProcs {
+			return fmt.Errorf("tune: -threads must be in [1,%d], or 0 for the default (got %d)", sim.MaxProcs, *threads)
 		}
 		if *size < 0 {
 			return fmt.Errorf("tune: -size must be >= 1 (got %d)", *size)

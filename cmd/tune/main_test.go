@@ -31,6 +31,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		"negative mix":      {"-mix", "-5,10"},
 		"non-numeric mix":   {"-mix", "a,b"},
 		"zero threads":      {"-threads", "-3"},
+		"too many threads":  {"-threads", "100"},
 		"negative size":     {"-size", "-1"},
 		"zero seeds":        {"-seeds", "0"},
 		"zero candidates":   {"-candidates", "0"},

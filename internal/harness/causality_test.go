@@ -71,6 +71,24 @@ func TestCausalityDeterministic(t *testing.T) {
 	}
 }
 
+// TestObserveKeepsNoEdges: the engine observe attaches for the rollup and
+// diagnose callers keeps no causality edges, and reports what FlightRun's
+// edge-keeping engine reports on the same point.
+func TestObserveKeepsNoEdges(t *testing.T) {
+	cfg := TestScale().Section4Config(SchemeHLE, LockMCS)
+	_, _, eng := observe(NewInstance(nil), cfg, causality.Config{}, true)
+	_, _, _, ref, _ := FlightRun(cfg, causality.Config{}, flight.Config{})
+	if n := len(eng.Edges()); n != 0 {
+		t.Errorf("observe's engine kept %d edges, want none", n)
+	}
+	if len(ref.Edges()) == 0 {
+		t.Error("FlightRun's engine kept no edges on the lemming point")
+	}
+	if !reflect.DeepEqual(eng.Report(), ref.Report()) {
+		t.Errorf("observe's report\n%+v\nFlightRun's\n%+v", eng.Report(), ref.Report())
+	}
+}
+
 // TestCausalRunMatchesUnobserved extends the read-only-instrumentation
 // invariant to the causality engine: attaching it must not perturb the run.
 func TestCausalRunMatchesUnobserved(t *testing.T) {

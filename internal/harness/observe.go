@@ -53,11 +53,13 @@ func FlightRun(cfg DSConfig, ccfg causality.Config, fcfg flight.Config) (Result,
 }
 
 // observe runs one point on in with a fresh collector carrying the
-// abort-causality engine and, when withFlight, a flight recorder. Raw chains
-// are not needed by the callers — the flight_* registry families carry the
-// analytics — so the recorder keeps aggregates only.
+// abort-causality engine and, when withFlight, a flight recorder. The
+// callers read only the engine's report and the registry families, so
+// unlike FlightRun's rig the engine keeps no causality edges and the
+// recorder no raw chains (the flight_* families carry its analytics).
 func observe(in *Instance, cfg DSConfig, ccfg causality.Config, withFlight bool) (Result, *obs.Collector, *causality.Engine) {
 	col := newCollector(cfg)
+	ccfg.MaxEdges = -1
 	eng := causality.Attach(col, ccfg)
 	if withFlight {
 		flight.Attach(col, flight.Config{MaxChains: -1})

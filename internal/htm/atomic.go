@@ -47,24 +47,20 @@ func (m *Memory) Atomic(p *sim.Proc, body func(tx *Tx)) Status {
 			// a fallback-path (non-transactional) access, and the aborter's
 			// clock at the dooming access.
 			if m.observed() {
-				m.emit(p, obs.Event{
-					Kind:         obs.KindTxAbort,
-					ReadLines:    len(tx.readLines),
-					WriteLines:   len(tx.writeLines),
-					Cause:        st.Cause.String(),
-					Arg:          int64(st.Cause),
-					ConflictLine: st.ConflictLine,
-					ConflictTid:  st.ConflictTid,
-					ConflictNT:   st.ConflictNT,
-					ConflictWhen: tx.doomWhen,
-					Code:         st.Code,
-				})
+				ev := m.event(p, obs.KindTxAbort)
+				ev.ReadLines, ev.WriteLines = len(tx.readLines), len(tx.writeLines)
+				ev.Cause, ev.Arg, ev.Code = st.Cause.String(), int64(st.Cause), st.Code
+				ev.ConflictLine, ev.ConflictTid, ev.ConflictNT = st.ConflictLine, st.ConflictTid, st.ConflictNT
+				ev.ConflictWhen = tx.doomWhen
+				m.emit()
 			}
 		}()
 		body(tx)
 		st = tx.commit()
 		if m.observed() {
-			m.emit(p, obs.Event{Kind: obs.KindTxCommit, ReadLines: len(tx.readLines), WriteLines: len(tx.writeLines)})
+			ev := m.event(p, obs.KindTxCommit)
+			ev.ReadLines, ev.WriteLines = len(tx.readLines), len(tx.writeLines)
+			m.emit()
 		}
 	}()
 	m.cur[p.ID()] = nil

@@ -32,6 +32,7 @@ package htm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"elision/internal/mem"
@@ -187,8 +188,12 @@ type Memory struct {
 	policy   Policy
 	tracer   *trace.Tracer  // nil when tracing is off
 	col      *obs.Collector // nil when observability is off
-	// ev is the event being emitted (see emit).
+	// ev is the event being emitted, filled in place (see event).
 	ev obs.Event
+	// spurious and spuriousSMT draw §3.1's spurious aborts (see Tx.step):
+	// the tests for a multiple of Cost.SpuriousDenom and of its SMT-divided
+	// value, zero when SpuriousDenom is.
+	spurious, spuriousSMT divisor
 
 	// Subscription-state machinery for the lazy-subscription hardware fix.
 	// subLines lists the fallback lock's lines (SetSubscriptionLines), each
@@ -239,9 +244,55 @@ func (cfg Config) resolve() (cost sim.CostModel, maxRead, maxWrite int) {
 	return cost, maxRead, maxWrite
 }
 
+// divisor tests x%d == 0 for a fixed d > 0 with a multiply, a rotate and a
+// compare instead of a 64-bit division (Granlund and Montgomery; Hacker's
+// Delight §10-17): with d = d0·2^k and d0 odd, x is a multiple of d iff
+// x·d0⁻¹ mod 2^64, rotated right by k, is at most ⌊(2^64−1)/d⌋. Multiplying
+// by d0⁻¹ maps the multiples of d0 one-to-one onto [0, ⌊(2^64−1)/d0⌋], and
+// the rotate moves any of x's k low bits that are set above the bound.
+type divisor struct {
+	inv   uint64 // d0⁻¹ mod 2^64
+	shift int    // k
+	limit uint64 // ⌊(2^64−1)/d⌋
+}
+
+// newDivisor precomputes the test for d > 0.
+func newDivisor(d uint64) divisor {
+	k := bits.TrailingZeros64(d)
+	d0 := d >> k
+	// Newton's iteration doubles the correct low bits of the inverse each
+	// step; d0 is its own inverse mod 8, so five steps reach 96 ≥ 64.
+	inv := d0
+	for i := 0; i < 5; i++ {
+		inv *= 2 - d0*inv
+	}
+	return divisor{inv: inv, shift: k, limit: math.MaxUint64 / d}
+}
+
+// divides reports whether x%d == 0.
+func (v divisor) divides(x uint64) bool {
+	return bits.RotateLeft64(x*v.inv, -v.shift) <= v.limit
+}
+
+// spuriousDraws precomputes cost's spurious-abort tests: a multiple of
+// SpuriousDenom, and of SpuriousDenom/HTSpuriousDiv (at least 1; the
+// divisor defaults to 16) while an SMT sibling is active.
+func spuriousDraws(cost sim.CostModel) (plain, smt divisor) {
+	d := cost.SpuriousDenom
+	if d == 0 {
+		return divisor{}, divisor{}
+	}
+	div := cost.HTSpuriousDiv
+	if div == 0 {
+		div = 16
+	}
+	return newDivisor(d), newDivisor(max(d/div, 1))
+}
+
 // NewMemory creates a transactional memory shared by the machine's procs.
 func NewMemory(m *sim.Machine, cfg Config) *Memory {
 	cost, maxRead, maxWrite := cfg.resolve()
+	spurious, spuriousSMT := spuriousDraws(cost)
 	store := mem.NewStore(cfg.Words)
 	meta := make([]lineMeta, store.Lines())
 	for i := range meta {
@@ -257,6 +308,8 @@ func NewMemory(m *sim.Machine, cfg Config) *Memory {
 		maxRead:      maxRead,
 		maxWrite:     maxWrite,
 		policy:       cfg.Policy,
+		spurious:     spurious,
+		spuriousSMT:  spuriousSMT,
 		fixDangerous: cfg.AbortOnDangerousWhileUnsubscribed,
 		fbHolder:     -1,
 	}
@@ -270,6 +323,7 @@ func NewMemory(m *sim.Machine, cfg Config) *Memory {
 // Memory behaves bit-for-bit like a freshly constructed one.
 func (m *Memory) Reset(mach *sim.Machine, cfg Config) {
 	m.cost, m.maxRead, m.maxWrite = cfg.resolve()
+	m.spurious, m.spuriousSMT = spuriousDraws(m.cost)
 	m.policy = cfg.Policy
 	m.store.Reset(cfg.Words)
 	lines := m.store.Lines()
@@ -320,13 +374,24 @@ func (m *Memory) SetCollector(c *obs.Collector) { m.col = c }
 // branch per site.
 func (m *Memory) observed() bool { return m.col != nil || m.tracer != nil }
 
-// emit delivers ev, stamped with p's clock and id, to the attached
-// collector and tracer. The event is copied into m.ev first: a pointer to
-// the argument would escape through the sinks' interface and heap-allocate
-// every emission.
-func (m *Memory) emit(p *sim.Proc, ev obs.Event) {
-	m.ev = ev
-	m.ev.When, m.ev.Tid = p.Clock(), p.ID()
+// event readies m.ev as a kind-k event from p, stamped with p's clock and
+// id, for the caller to fill in place and deliver with emit. It zeroes the
+// commit and abort payload a previous emission may have left; htm sets no
+// other field, so the rest stays zero from construction. The sinks get a
+// pointer to m.ev because a pointer to a local event would escape to the
+// heap, and filling it field by field writes only what an emission sets
+// instead of copying a whole Event in.
+func (m *Memory) event(p *sim.Proc, k obs.Kind) *obs.Event {
+	ev := &m.ev
+	ev.Kind, ev.When, ev.Tid = k, p.Clock(), p.ID()
+	ev.ReadLines, ev.WriteLines = 0, 0
+	ev.Cause, ev.Arg, ev.Code = "", 0, 0
+	ev.ConflictLine, ev.ConflictTid, ev.ConflictNT, ev.ConflictWhen = 0, 0, false, 0
+	return ev
+}
+
+// emit delivers m.ev to the attached collector and tracer.
+func (m *Memory) emit() {
 	m.col.Observe(&m.ev)
 	m.tracer.Observe(&m.ev)
 }
@@ -334,7 +399,8 @@ func (m *Memory) emit(p *sim.Proc, ev obs.Event) {
 // emitKind emits an event of kind k with no payload.
 func (m *Memory) emitKind(p *sim.Proc, k obs.Kind) {
 	if m.observed() {
-		m.emit(p, obs.Event{Kind: k})
+		m.event(p, k)
+		m.emit()
 	}
 }
 

@@ -1,6 +1,8 @@
 package htm
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"elision/internal/mem"
@@ -291,6 +293,108 @@ func TestSpuriousAborts(t *testing.T) {
 	}
 	if !sawSpurious {
 		t.Fatal("no spurious abort in 50 transactions at denom 3")
+	}
+}
+
+// TestDivisorMatchesModulo checks the precomputed divisibility test the
+// spurious draw uses against x%d == 0, over random values, multiples of d
+// and their neighbours, including the default denominator (250000), its SMT
+// value (15625) and the extremes.
+func TestDivisorMatchesModulo(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, d := range []uint64{1, 2, 3, 7, 16, 15625, 250000, 1 << 63, math.MaxUint64} {
+		v := newDivisor(d)
+		check := func(x uint64) {
+			if got, want := v.divides(x), x%d == 0; got != want {
+				t.Fatalf("d=%d x=%d: divides = %v, want %v", d, x, got, want)
+			}
+		}
+		check(0)
+		check(math.MaxUint64)
+		q := math.MaxUint64 / d // largest k with k·d in range
+		for i := 0; i < 10000; i++ {
+			check(r.Uint64())
+			k := r.Uint64()
+			if q < math.MaxUint64 {
+				k %= q + 1
+			}
+			check(k * d)
+			check(k*d + 1)
+			check(k*d - 1)
+		}
+	}
+}
+
+// TestSpuriousDrawMatchesRandN runs transactions at a high spurious-abort
+// rate, with and without an active SMT sibling, and checks that they abort
+// at exactly the accesses a RandN-based reference draw predicts, with its
+// retry hint, and leave the proc's RNG where the reference leaves it.
+func TestSpuriousDrawMatchesRandN(t *testing.T) {
+	const txs, loads = 200, 8
+	for _, smt := range []bool{false, true} {
+		cfg := sim.Config{Procs: 2, Seed: 11}
+		d := uint64(12)
+		if smt {
+			cfg.Cores = 1 // procs 0 and 1 share a core
+			d = 3         // SpuriousDenom / HTSpuriousDiv
+		}
+		m := sim.MustNew(cfg)
+		cost := testCost()
+		cost.SpuriousDenom, cost.HTSpuriousDiv = 12, 4
+		hm := NewMemory(m, Config{Words: 1 << 12, Cost: cost})
+		a := hm.Store().Alloc(loads)
+		type outcome struct {
+			at    int // index of the aborting access; loads when committed
+			retry bool
+		}
+		var got []outcome
+		siblingWrong := false
+		m.Go(func(p *sim.Proc) {
+			for i := 0; i < txs; i++ {
+				n := 0
+				st := hm.Atomic(p, func(tx *Tx) {
+					for ; n < loads; n++ {
+						siblingWrong = siblingWrong || tx.Proc().SiblingActive() != smt
+						tx.Load(a + mem.Addr(n))
+					}
+				})
+				if !st.Committed && st.Cause != CauseSpurious {
+					t.Errorf("transaction %d aborted with %v", i, st.Cause)
+				}
+				got = append(got, outcome{n, st.Retry})
+			}
+		})
+		// The sibling parks far ahead in virtual time, staying runnable for
+		// every access proc 0 makes.
+		m.Go(func(p *sim.Proc) { p.Advance(1 << 40) })
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if siblingWrong {
+			t.Fatalf("smt=%v: SiblingActive differed from the configuration during an access", smt)
+		}
+
+		ref := sim.MustNew(cfg).Proc(0)
+		aborts := 0
+		for i := 0; i < txs; i++ {
+			want := outcome{at: loads, retry: false}
+			for k := 0; k < loads; k++ {
+				if ref.RandN(d) == 0 {
+					want = outcome{at: k, retry: ref.RandN(2) != 0}
+					aborts++
+					break
+				}
+			}
+			if got[i] != want {
+				t.Fatalf("smt=%v transaction %d: got %+v, reference %+v", smt, i, got[i], want)
+			}
+		}
+		if aborts == 0 || aborts == txs {
+			t.Fatalf("smt=%v: %d of %d transactions aborted; the check needs both outcomes", smt, aborts, txs)
+		}
+		if x, y := m.Proc(0).Rand64(), ref.Rand64(); x != y {
+			t.Fatalf("smt=%v: proc RNG at %#x after the run, reference at %#x", smt, x, y)
+		}
 	}
 }
 

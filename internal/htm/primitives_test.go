@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -172,6 +173,64 @@ func TestTracerAccessorsAndEvents(t *testing.T) {
 	if c[obs.KindTxBegin] != 2 || c[obs.KindTxCommit] != 1 || c[obs.KindTxAbort] != 1 ||
 		c[obs.KindLockAcquire] != 1 || c[obs.KindLockRelease] != 1 {
 		t.Fatalf("trace counts = %v", c)
+	}
+}
+
+// eventLog is a sink keeping a copy of every event.
+type eventLog []obs.Event
+
+func (l *eventLog) Observe(ev *obs.Event) { *l = append(*l, *ev) }
+
+// TestEventsZeroOutsidePayload checks the obs.Event contract on htm's
+// emissions, which fill one reused event in place: every field outside the
+// kind's payload is zero, whatever the previous emission set.
+func TestEventsZeroOutsidePayload(t *testing.T) {
+	m := sim.MustNew(sim.Config{Procs: 2, Seed: 3})
+	hm := NewMemory(m, Config{Words: 1 << 12, Cost: testCost()})
+	var log eventLog
+	col := obs.NewCollector("", "", 0)
+	col.Attach(&log)
+	hm.SetCollector(col)
+	a := hm.Store().AllocLines(1)
+	for i := 0; i < 2; i++ {
+		m.Go(func(p *sim.Proc) {
+			for k := 0; k < 20; k++ {
+				hm.Atomic(p, func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
+				hm.Atomic(p, func(tx *Tx) { tx.Abort(7) })
+				hm.TraceLockWait(p)
+				hm.TraceLock(p)
+				hm.StoreNT(p, a, int64(k))
+				hm.TraceUnlock(p)
+			}
+		})
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var conflicts, explicit int
+	for i, ev := range log {
+		want := obs.Event{Kind: ev.Kind, When: ev.When, Tid: ev.Tid}
+		switch ev.Kind {
+		case obs.KindTxCommit:
+			want.ReadLines, want.WriteLines = ev.ReadLines, ev.WriteLines
+		case obs.KindTxAbort:
+			want.ReadLines, want.WriteLines = ev.ReadLines, ev.WriteLines
+			want.Cause, want.Arg, want.Code = ev.Cause, ev.Arg, ev.Code
+			want.ConflictLine, want.ConflictTid, want.ConflictNT = ev.ConflictLine, ev.ConflictTid, ev.ConflictNT
+			want.ConflictWhen = ev.ConflictWhen
+			if ev.ConflictTid >= 0 {
+				conflicts++
+			}
+			if ev.Code != 0 {
+				explicit++
+			}
+		}
+		if !reflect.DeepEqual(ev, want) {
+			t.Fatalf("event %d %+v has fields outside its %v payload set", i, ev, ev.Kind)
+		}
+	}
+	if conflicts == 0 || explicit == 0 {
+		t.Fatalf("%d conflict and %d explicit aborts; the check needs both payloads", conflicts, explicit)
 	}
 }
 

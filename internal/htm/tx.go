@@ -132,18 +132,15 @@ func (tx *Tx) step() {
 	if tx.doomed {
 		tx.abortNow(CauseConflict, 0)
 	}
-	if d := tx.m.cost.SpuriousDenom; d > 0 {
+	if tx.m.cost.SpuriousDenom > 0 {
+		d := &tx.m.spurious
 		if tx.p.SiblingActive() {
 			// A shared L1 (SMT) multiplies eviction-flavoured aborts.
-			div := tx.m.cost.HTSpuriousDiv
-			if div == 0 {
-				div = 16
-			}
-			if d /= div; d == 0 {
-				d = 1
-			}
+			d = &tx.m.spuriousSMT
 		}
-		if tx.p.RandN(d) == 0 {
+		// Exactly the one Rand64 that RandN(d) == 0 draws, so the test
+		// replaces only its division and every schedule stays the same.
+		if d.divides(tx.p.Rand64()) {
 			if tx.p.RandN(2) == 0 {
 				tx.abortNoRetry(CauseSpurious)
 			}

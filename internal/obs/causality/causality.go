@@ -53,6 +53,21 @@ const (
 	ClassOther        = "other"
 )
 
+// class numbers the abort classes: the index of their tallies and registry
+// handles.
+type class uint8
+
+const (
+	fallbackLock class = iota
+	fallbackData
+	specConflict
+	other
+	numClasses
+)
+
+// classNames names each class, in report order.
+var classNames = [numClasses]string{ClassFallbackLock, ClassFallbackData, ClassSpecConflict, ClassOther}
+
 // Registry metric names the engine maintains (base labels of the collector
 // it is attached to).
 const (
@@ -95,7 +110,8 @@ type Config struct {
 	ChainedFraction float64
 	// MaxEdges bounds the retained causality edges (flow-event memory);
 	// classification and epoch accounting continue past the bound.
-	// Default 4096.
+	// Default 4096; negative keeps no edges, for callers that read only
+	// the report and the registry families.
 	MaxEdges int
 	// SerializedFraction is the share of covered cycles spent inside epochs
 	// above which (together with >= 1 epoch and a collapsed in-epoch
@@ -168,7 +184,7 @@ type Engine struct {
 	cfg       Config
 	lockLines map[int]bool
 
-	classes map[string]uint64
+	classes [numClasses]uint64
 	edges   []Edge
 
 	commits    uint64
@@ -188,15 +204,17 @@ type Engine struct {
 	openOps     uint64
 	openSpecOps uint64
 	openChained int
-	depth       map[int]int
-	maxDepth    int
+	// depth is each thread's taint depth in the open epoch, indexed by
+	// thread id and grown on demand; 0 is untainted (see abort).
+	depth    []int
+	maxDepth int
 
 	totalCycles uint64
 	finished    bool
 
 	// Registry handles (nil when not attached to a collector).
 	mEpochs      *obs.Counter
-	mByClass     map[string]*obs.Counter
+	mByClass     [numClasses]*obs.Counter
 	mEpochDepth  *obs.Histogram
 	mEpochCycles *obs.Histogram
 	mEpochAborts *obs.Histogram
@@ -212,8 +230,6 @@ func New(cfg Config) *Engine {
 	return &Engine{
 		cfg:       cfg,
 		lockLines: map[int]bool{},
-		classes:   map[string]uint64{},
-		depth:     map[int]int{},
 	}
 }
 
@@ -230,9 +246,8 @@ func Attach(col *obs.Collector, cfg Config) *Engine {
 	e.mEpochDepth = col.Reg.Histogram(MetricEpochDepth, base)
 	e.mEpochCycles = col.Reg.Histogram(MetricEpochCycles, base)
 	e.mEpochAborts = col.Reg.Histogram(MetricEpochAborts, base)
-	e.mByClass = map[string]*obs.Counter{}
-	for _, cl := range []string{ClassFallbackLock, ClassFallbackData, ClassSpecConflict, ClassOther} {
-		e.mByClass[cl] = col.Reg.Counter(MetricAbortsByClass, base.With("class", cl))
+	for cl, name := range classNames {
+		e.mByClass[cl] = col.Reg.Counter(MetricAbortsByClass, base.With("class", name))
 	}
 	col.Attach(e)
 	return e
@@ -270,17 +285,17 @@ func (e *Engine) Observe(ev *obs.Event) {
 }
 
 // classify maps one abort event to its class.
-func (e *Engine) classify(ev *obs.Event) string {
+func (e *Engine) classify(ev *obs.Event) class {
 	if ev.Cause != "conflict" || ev.ConflictTid < 0 {
-		return ClassOther
+		return other
 	}
 	if !ev.ConflictNT {
-		return ClassSpecConflict
+		return specConflict
 	}
 	if e.lockLines[ev.ConflictLine] {
-		return ClassFallbackLock
+		return fallbackLock
 	}
-	return ClassFallbackData
+	return fallbackData
 }
 
 // advance closes the open epoch if `when` lies beyond the activity gap.
@@ -325,20 +340,26 @@ func (e *Engine) closeEpoch() {
 	e.openSpecOps = 0
 	e.openChained = 0
 	e.maxDepth = 0
-	for tid := range e.depth {
-		delete(e.depth, tid)
+	clear(e.depth)
+}
+
+// taint returns tid's taint depth in the open epoch.
+func (e *Engine) taint(tid int) int {
+	if tid < len(e.depth) {
+		return e.depth[tid]
 	}
+	return 0
 }
 
 // abort classifies one abort, grows the graph, and feeds epoch detection.
 func (e *Engine) abort(ev *obs.Event) {
 	e.advance(ev.When)
-	class := e.classify(ev)
-	e.classes[class]++
-	if c := e.mByClass[class]; c != nil {
+	cl := e.classify(ev)
+	e.classes[cl]++
+	if c := e.mByClass[cl]; c != nil {
 		c.Inc()
 	}
-	if class == ClassOther {
+	if cl == other {
 		return
 	}
 
@@ -347,7 +368,7 @@ func (e *Engine) abort(ev *obs.Event) {
 	// main-lock transitions — keeps one alive: background speculative
 	// contention must not sustain an epoch, or a healthy scheme's constant
 	// low-grade conflicts would merge every root into one run-long "epoch".
-	if !e.open && class == ClassFallbackLock {
+	if !e.open && cl == fallbackLock {
 		e.open = true
 		e.start = ev.ConflictWhen
 		if e.start == 0 || e.start > ev.When {
@@ -358,19 +379,22 @@ func (e *Engine) abort(ev *obs.Event) {
 	d := 0
 	if e.open {
 		e.openAborts++
-		if class != ClassSpecConflict {
+		if cl != specConflict {
 			e.extend(ev.When)
 		}
-		if class == ClassFallbackLock && e.depth[ev.ConflictTid] > 0 {
+		if cl == fallbackLock && e.taint(ev.ConflictTid) > 0 {
 			e.openChained++
 		}
 		// The aborter's taint depth persists across its own abort-then-
 		// fallback transition (cleared only by a speculative commit), so a
 		// prior victim's non-transactional acquire chains the cascade: the
 		// queue remembers. A never-aborted root contributes depth 0.
-		d = e.depth[ev.ConflictTid] + 1
-		if cur := e.depth[ev.Tid]; cur > d {
+		d = e.taint(ev.ConflictTid) + 1
+		if cur := e.taint(ev.Tid); cur > d {
 			d = cur
+		}
+		for ev.Tid >= len(e.depth) {
+			e.depth = append(e.depth, 0)
 		}
 		e.depth[ev.Tid] = d
 		if d > e.maxDepth {
@@ -381,7 +405,7 @@ func (e *Engine) abort(ev *obs.Event) {
 		e.edges = append(e.edges, Edge{
 			From: ev.ConflictTid, To: ev.Tid,
 			FromWhen: ev.ConflictWhen, ToWhen: ev.When,
-			Line: ev.ConflictLine, Class: class, Depth: d,
+			Line: ev.ConflictLine, Class: classNames[cl], Depth: d,
 		})
 	}
 }
@@ -390,8 +414,8 @@ func (e *Engine) abort(ev *obs.Event) {
 func (e *Engine) commit(when uint64, tid int) {
 	e.advance(when)
 	e.commits++
-	if e.open {
-		delete(e.depth, tid)
+	if e.open && tid < len(e.depth) {
+		e.depth[tid] = 0
 	}
 }
 
@@ -418,7 +442,8 @@ func (e *Engine) op(when uint64, tid int, spec, auxUsed bool) {
 	}
 }
 
-// Edges returns the retained causality edges (bounded by Config.MaxEdges).
+// Edges returns the retained causality edges (bounded by Config.MaxEdges;
+// none when it is negative).
 func (e *Engine) Edges() []Edge { return e.edges }
 
 // Report summarizes the engine's analysis. Valid after KindFinish (an
@@ -456,8 +481,10 @@ func (e *Engine) Report() Report {
 		AuxRejoins:    e.auxRejoins,
 		TotalCycles:   e.totalCycles,
 	}
-	for k, v := range e.classes {
-		r.AbortsByClass[k] = v
+	for cl, n := range e.classes {
+		if n > 0 {
+			r.AbortsByClass[classNames[cl]] = n
+		}
 	}
 	r.Lemming = len(r.Epochs) > 0 && r.SerializedFraction() >= e.cfg.SerializedFraction &&
 		r.InEpochSpecRatio() < 0.5
@@ -615,7 +642,7 @@ func (e *Engine) WriteText(w io.Writer) {
 	r := e.Report()
 	fmt.Fprintln(w, "speculation health (abort causality):")
 	fmt.Fprintf(w, "  speculation ratio    %.3f (%d/%d ops)\n", r.SpecRatio(), r.SpecOps, r.Ops)
-	for _, cl := range []string{ClassFallbackLock, ClassFallbackData, ClassSpecConflict, ClassOther} {
+	for _, cl := range classNames {
 		if n := r.AbortsByClass[cl]; n > 0 {
 			fmt.Fprintf(w, "  aborts %-14s %d\n", cl, n)
 		}

@@ -1,6 +1,7 @@
 package causality_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -317,17 +318,49 @@ func TestFlowEventsPairUp(t *testing.T) {
 	}
 }
 
+// TestMaxEdgesBound: the edge bound caps the retained edges, a negative
+// bound keeps none, and neither changes anything else: the report and the
+// causality_* registry families equal the default engine's on the same
+// stream.
 func TestMaxEdgesBound(t *testing.T) {
-	e := newEngine(causality.Config{MaxEdges: 3})
-	for i := uint64(0); i < 10; i++ {
-		e.Observe(specAbort(1000+i, int(i%4), int(4+i%4)))
+	run := func(cfg causality.Config) (*causality.Engine, string) {
+		col := obs.NewCollector("hle", "mcs", 1000)
+		eng := causality.Attach(col, cfg)
+		col.SetLockLines([]int{lockLine})
+		col.Observe(flAbort(1000, 1, 9))
+		col.Observe(flAbort(2000, 2, 1))
+		col.Observe(flAbort(3000, 3, 2))
+		for i := uint64(0); i < 10; i++ {
+			col.Observe(specAbort(3100+i, int(i%4), int(4+i%4)))
+		}
+		col.Finish(8000)
+		var reg, prom strings.Builder
+		col.Reg.WritePrometheus(&reg)
+		for _, line := range strings.SplitAfter(reg.String(), "\n") {
+			if strings.Contains(line, "causality_") {
+				prom.WriteString(line)
+			}
+		}
+		return eng, prom.String()
 	}
-	e.Observe(finish(2000))
-	if got := len(e.Edges()); got != 3 {
-		t.Fatalf("edges = %d, want bound 3", got)
+	def, defProm := run(causality.Config{})
+	if n := len(def.Edges()); n != 13 {
+		t.Fatalf("default engine kept %d edges, want all 13", n)
 	}
-	if r := e.Report(); r.AbortsByClass[causality.ClassSpecConflict] != 10 {
-		t.Fatal("classification must continue past the edge bound")
+	if len(def.Report().Epochs) != 1 || !strings.Contains(defProm, causality.MetricEpochDepth) {
+		t.Fatalf("stream must close one epoch; registry:\n%s", defProm)
+	}
+	for _, tc := range []struct{ maxEdges, want int }{{3, 3}, {-1, 0}} {
+		eng, prom := run(causality.Config{MaxEdges: tc.maxEdges})
+		if got := len(eng.Edges()); got != tc.want {
+			t.Errorf("MaxEdges %d: edges = %d, want %d", tc.maxEdges, got, tc.want)
+		}
+		if !reflect.DeepEqual(eng.Report(), def.Report()) {
+			t.Errorf("MaxEdges %d: report %+v, default engine's %+v", tc.maxEdges, eng.Report(), def.Report())
+		}
+		if prom != defProm {
+			t.Errorf("MaxEdges %d: causality families\n%s\ndefault engine's\n%s", tc.maxEdges, prom, defProm)
+		}
 	}
 }
 

@@ -81,9 +81,16 @@ type Collector struct {
 	auxEntries    *Counter
 	auxDwell      *Histogram
 
-	// lazy holds the handles resolved on first use (see counter), keyed by
-	// metric name and label value.
-	lazy map[[2]string]*Counter
+	// lazy holds the handles resolved on first use (see counter), in
+	// first-use order.
+	lazy []lazyCounter
+}
+
+// lazyCounter is one counter handle resolved on first use: the metric name
+// and label value it was resolved for.
+type lazyCounter struct {
+	name, value string
+	c           *Counter
 }
 
 // NewCollector builds a collector labelled with the run's scheme and lock,
@@ -115,7 +122,6 @@ func NewCollector(scheme, lock string, windowCycles uint64) *Collector {
 		retries:       reg.Histogram(MetricRetries, base),
 		auxEntries:    reg.Counter(MetricAuxEntries, base),
 		auxDwell:      reg.Histogram(MetricAuxDwell, base),
-		lazy:          map[[2]string]*Counter{},
 	}
 }
 
@@ -204,17 +210,20 @@ func (c *Collector) op(ev *Event) {
 // (none when key is ""), registering it on first use. Which of these
 // families exist shows in every dump — the abort causes a run met, and
 // adaptive_* only on adaptive runs — so they are not resolved up front.
+// A run meets a handful of them, so a scan of the resolved ones beats
+// hashing the name and value on every abort.
 func (c *Collector) counter(name, key, value string) *Counter {
-	k := [2]string{name, value}
-	h := c.lazy[k]
-	if h == nil {
-		ls := c.base
-		if key != "" {
-			ls = ls.With(key, value)
+	for _, l := range c.lazy {
+		if l.value == value && l.name == name {
+			return l.c
 		}
-		h = c.Reg.Counter(name, ls)
-		c.lazy[k] = h
 	}
+	ls := c.base
+	if key != "" {
+		ls = ls.With(key, value)
+	}
+	h := c.Reg.Counter(name, ls)
+	c.lazy = append(c.lazy, lazyCounter{name: name, value: value, c: h})
 	return h
 }
 
