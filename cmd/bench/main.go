@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"elision/internal/fleet"
@@ -269,7 +270,7 @@ func campaignGrid() []harness.DSConfig {
 func measureCampaign(fc fleet.Config, prof *fleet.Profile) CampaignMetrics {
 	grid := campaignGrid()
 	r := harness.NewRunner()
-	r.Fleet = fleet.Config{Workers: fc.Workers, Shards: fc.Shards, Profile: prof}
+	r.Fleet = fleet.Config{Workers: fc.Workers, Profile: prof}
 	start := time.Now()
 	results := r.RunAll(grid)
 	wall := time.Since(start)
@@ -306,7 +307,7 @@ func measureCampaign(fc fleet.Config, prof *fleet.Profile) CampaignMetrics {
 // the campaign rollup and a registry of the runner's pooling metrics.
 func observedCampaign(fc fleet.Config, prof *fleet.Profile) (*rollup.Campaign, *obs.Registry) {
 	r := harness.NewRunner()
-	r.Fleet = fleet.Config{Workers: fc.Workers, Shards: fc.Shards, Profile: prof}
+	r.Fleet = fleet.Config{Workers: fc.Workers, Profile: prof}
 	ru := rollup.New()
 	r.RunAllRollup(campaignGrid(), ru)
 	fleetReg := obs.NewRegistry()
@@ -327,11 +328,13 @@ func run(args []string, stdout io.Writer) error {
 	compare := fs.String("compare", "", "baseline BENCH_simulator.json to embed and compute ratios against")
 	iters := fs.Int("iters", 5, "measured iterations per workload (after one warmup)")
 	j := fs.Int("j", 0, "parallel fleet workers for the campaign measurement (0 = all host CPUs)")
-	shards := fs.Int("shards", 0, "fleet work-stealing shards (0 = one per worker)")
 	prom := fs.String("prom", "", "write campaign metrics (observed rollup pass + fleet self-metrics) as a Prometheus exposition here")
 	fleetTrace := fs.String("fleet-trace", "", "write the fleet's self-profile as a Perfetto/Chrome trace here")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("bench: unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
 	// A non-positive iteration count would divide by zero into Inf/NaN
 	// fields that either poison the JSON trajectory or fail to marshal at
@@ -339,7 +342,7 @@ func run(args []string, stdout io.Writer) error {
 	if *iters < 1 {
 		return fmt.Errorf("bench: -iters must be >= 1 (got %d)", *iters)
 	}
-	fc, err := fleet.Flags(*j, *shards)
+	fc, err := fleet.Flags(*j)
 	if err != nil {
 		return err
 	}

@@ -33,17 +33,20 @@ func TestRejectsMalformedFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, &out); err == nil {
 		t.Fatal("run accepted an unknown flag")
 	}
+	if err := run([]string{"stray"}, &out); err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
+		t.Fatalf("run(stray) = %v, want unexpected-arguments error", err)
+	}
 }
 
-// TestRejectsBadFleetFlags: negative -j / -shards exit non-zero before any
-// workload runs.
+// TestRejectsBadFleetFlags: a negative -j, or the removed -shards, exits
+// non-zero before any workload runs.
 func TestRejectsBadFleetFlags(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-j", "-1"}, &out); err == nil || !strings.Contains(err.Error(), "-j") {
 		t.Fatalf("run(-j -1) = %v, want -j complaint", err)
 	}
-	if err := run([]string{"-shards", "-2"}, &out); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("run(-shards -2) = %v, want -shards complaint", err)
+	if err := run([]string{"-shards", "2"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Fatalf("run(-shards 2) = %v, want unknown-flag error", err)
 	}
 }
 

@@ -47,11 +47,13 @@ func run(args []string, stdout io.Writer) error {
 	budget := fs.Uint64("budget", 0, "virtual-cycle budget per thread (0 = scale default)")
 	gap := fs.Uint64("gap", 0, "epoch gap cycles (0 = engine default)")
 	j := fs.Int("j", 0, "parallel fleet workers (0 = all host CPUs)")
-	shards := fs.Int("shards", 0, "fleet work-stealing shards (0 = one per worker)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fc, err := fleet.Flags(*j, *shards)
+	if fs.NArg() > 0 {
+		return fmt.Errorf("diagnose: unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	}
+	fc, err := fleet.Flags(*j)
 	if err != nil {
 		return err
 	}
@@ -69,6 +71,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *lock != "" && !slices.Contains(core.LockNames(), *lock) {
 		return fmt.Errorf("diagnose: unknown lock %q (known: %s)", *lock, strings.Join(core.LockNames(), ", "))
+	}
+	if *scheme == core.SchemeNameNoLock {
+		return fmt.Errorf("diagnose: scheme nolock runs unsynchronized and needs one thread, but the panel runs %d",
+			sc.Section4Config(harness.SchemeNoLock, harness.LockMCS).Threads)
 	}
 
 	panel := harness.DefaultDiagnosePanel()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"elision/internal/core"
@@ -128,8 +129,14 @@ func TestRejectsMalformedFlags(t *testing.T) {
 	if err := run([]string{"-j", "-1"}, &out); err == nil {
 		t.Fatal("run accepted -j -1")
 	}
-	if err := run([]string{"-shards", "-3"}, &out); err == nil {
-		t.Fatal("run accepted -shards -3")
+	if err := run([]string{"-shards", "2"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Fatalf("run(-shards 2) = %v, want unknown-flag error", err)
+	}
+	if err := run([]string{"-quick", "extra"}, &out); err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
+		t.Fatalf("run(-quick extra) = %v, want unexpected-arguments error", err)
+	}
+	if err := run([]string{"-quick", "-scheme", "nolock"}, &out); err == nil || !strings.Contains(err.Error(), "one thread") {
+		t.Fatalf("run(-quick -scheme nolock) = %v, want a one-thread error", err)
 	}
 }
 
@@ -189,7 +196,8 @@ func TestDiagnosePromLints(t *testing.T) {
 }
 
 // TestAcceptsEveryFactoryName: every scheme and lock the factory builds is a
-// valid -scheme or -lock restriction.
+// valid -scheme or -lock restriction, except nolock, which needs one thread
+// while the panel runs 8.
 func TestAcceptsEveryFactoryName(t *testing.T) {
 	var cases [][]string
 	for _, s := range core.SchemeNames() {
@@ -200,7 +208,14 @@ func TestAcceptsEveryFactoryName(t *testing.T) {
 	}
 	for _, c := range cases {
 		var out bytes.Buffer
-		if err := run(append(c, "-quick", "-budget", "20000", "-j", "1"), &out); err != nil {
+		err := run(append(c, "-quick", "-budget", "20000", "-j", "1"), &out)
+		if c[1] == core.SchemeNameNoLock {
+			if err == nil || !strings.Contains(err.Error(), "one thread") {
+				t.Errorf("run(%v) = %v, want a one-thread error", c, err)
+			}
+			continue
+		}
+		if err != nil {
 			t.Errorf("run(%v) = %v", c, err)
 		}
 	}

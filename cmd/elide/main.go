@@ -80,6 +80,9 @@ func run(args []string, stdout io.Writer) error {
 	if *threads < 1 || *threads > sim.MaxProcs {
 		return fmt.Errorf("elide: -threads must be in [1,%d] (got %d)", sim.MaxProcs, *threads)
 	}
+	if *schemeName == core.SchemeNameNoLock && *threads > 1 {
+		return fmt.Errorf("elide: -scheme nolock runs unsynchronized and needs -threads 1 (got %d)", *threads)
+	}
 	if *quantum == 0 {
 		return fmt.Errorf("elide: -quantum must be > 0")
 	}

@@ -47,6 +47,9 @@ func TestRejectsMalformedInput(t *testing.T) {
 		{[]string{"-threads", "0"}, "-threads"},
 		{[]string{"-threads", "65"}, "-threads"},
 		{[]string{"-threads", "64"}, ""},
+		{[]string{"-scheme", "nolock"}, "-threads 1"},
+		{[]string{"-scheme", "nolock", "-lock", "mcs", "-threads", "8"}, "-threads 1"},
+		{[]string{"-scheme", "nolock", "-threads", "1"}, ""},
 		{[]string{"-size", "0"}, ""},
 		{[]string{"-mix", "0,0"}, ""},
 		{[]string{"-mix", "0,100"}, ""},

@@ -117,6 +117,10 @@ func parseSpec(spec string) (harness.SchemeID, string, error) {
 	if !slices.Contains(core.SchemeNames(), scheme) {
 		return "", "", fmt.Errorf("unknown scheme %q in spec %q", scheme, spec)
 	}
+	if scheme == core.SchemeNameNoLock {
+		return "", "", fmt.Errorf("spec %q: nolock runs unsynchronized and needs one thread, but the lemming workload runs %d",
+			spec, tuner.LemmingWorkload().Threads)
+	}
 	if acfg != "" {
 		if !strings.HasPrefix(scheme, "adaptive-") {
 			return "", "", fmt.Errorf("spec %q: only the adaptive family takes an :acfg", spec)
@@ -140,14 +144,13 @@ func run(args []string, stdout io.Writer) error {
 	side := fs.String("side", "a", "which side the -chain id names: a|b")
 	perfetto := fs.String("perfetto", "", "with -chain, also write the chain as Perfetto trace-event JSON here")
 	j := fs.Int("j", 0, "parallel fleet workers (0 = all host CPUs); never affects results")
-	shards := fs.Int("shards", 0, "fleet work-stealing shards (0 = one per worker)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("explain: unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
-	fc, err := fleet.Flags(*j, *shards)
+	fc, err := fleet.Flags(*j)
 	if err != nil {
 		return err
 	}

@@ -24,12 +24,17 @@ func TestRejectsBadFlags(t *testing.T) {
 		"zero seeds":       {"-seeds", "0"},
 		"zero budget":      {"-budget", "0"},
 		"negative j":       {"-j", "-1"},
+		"nolock a":         {"-a", "nolock"},
+		"nolock b":         {"-b", "nolock"},
 		"bad side":         {"-chain", "t0#0", "-side", "c"},
 		"stray argument":   {"stray"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("%s: run(%v) accepted", name, args)
 		}
+	}
+	if err := run([]string{"-shards", "2"}, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Errorf("run(-shards 2) = %v, want unknown-flag error", err)
 	}
 }
 
@@ -153,10 +158,18 @@ func TestChainChronicleAndPerfetto(t *testing.T) {
 }
 
 // TestAcceptsEveryFactoryName: every scheme the factory builds is a valid
-// side spec.
+// side spec, except nolock, which needs one thread while the lemming
+// workload runs 8.
 func TestAcceptsEveryFactoryName(t *testing.T) {
 	for _, s := range core.SchemeNames() {
-		if got, _, err := parseSpec(s); err != nil || string(got) != s {
+		got, _, err := parseSpec(s)
+		if s == core.SchemeNameNoLock {
+			if err == nil || !strings.Contains(err.Error(), "one thread") {
+				t.Errorf("parseSpec(%q) = %q, %v, want a one-thread error", s, got, err)
+			}
+			continue
+		}
+		if err != nil || string(got) != s {
 			t.Errorf("parseSpec(%q) = %q, %v", s, got, err)
 		}
 	}

@@ -36,14 +36,13 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("htmprobe", flag.ContinueOnError)
 	j := fs.Int("j", 0, "parallel fleet workers (0 = all host CPUs)")
-	shards := fs.Int("shards", 0, "fleet work-stealing shards (0 = one per worker)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("htmprobe: unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
-	fc, err := fleet.Flags(*j, *shards)
+	fc, err := fleet.Flags(*j)
 	if err != nil {
 		return err
 	}

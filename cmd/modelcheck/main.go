@@ -85,9 +85,7 @@ func run(args []string, stdout io.Writer) error {
 	withMutants := fs.Bool("mutants", false, "run only the mutant regression suite")
 	quick := fs.Bool("quick", false, "PR gate: 2-seed campaign plus the mutant suite")
 	shrink := fs.Bool("shrink", false, "shrink failing cases to minimal reproducers")
-	workers := fs.Int("workers", 0, "deprecated alias of -j")
 	j := fs.Int("j", 0, "parallel fleet workers (0 = all host CPUs)")
-	shards := fs.Int("shards", 0, "fleet work-stealing shards (0 = one per worker)")
 	repro := fs.String("repro", "", "replay one reproducer string instead of running a campaign")
 	hwfix := fs.Bool("hwfix", false, "arm the lazy-subscription hardware fix (abort on dangerous action while unsubscribed) on every case, including -repro replays")
 	prom := fs.String("prom", "", "write the campaign's per-combo tallies as a Prometheus exposition here")
@@ -101,10 +99,7 @@ func run(args []string, stdout io.Writer) error {
 	if *seeds < 1 {
 		return fmt.Errorf("modelcheck: -seeds must be >= 1 (got %d)", *seeds)
 	}
-	if *j == 0 {
-		*j = *workers
-	}
-	fc, err := fleet.Flags(*j, *shards)
+	fc, err := fleet.Flags(*j)
 	if err != nil {
 		return err
 	}
@@ -121,6 +116,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	prof := fleet.NewProfile()
+	fc.Profile = prof
+	fc.Progress = fleet.TTYProgressStatus(os.Stderr, "cases", prof.StatusLine)
 	cfg := modelcheck.CampaignConfig{
 		Schemes:  schemeList,
 		Locks:    lockList,
@@ -128,10 +125,7 @@ func run(args []string, stdout io.Writer) error {
 		Seeds:    *seeds,
 		Shrink:   *shrink,
 		HWFix:    *hwfix,
-		Workers:  fc.Workers,
-		Shards:   fc.Shards,
-		Profile:  prof,
-		Progress: fleet.TTYProgressStatus(os.Stderr, "cases", prof.StatusLine),
+		Fleet:    fc,
 	}
 	if *quick {
 		cfg.Seeds = 2

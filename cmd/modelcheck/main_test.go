@@ -76,13 +76,24 @@ func TestFlagValidation(t *testing.T) {
 		{"stray-positional"},
 		{"-repro", "not-a-repro"},
 		{"-j", "-1"},
-		{"-shards", "-4"},
-		{"-workers", "-2"},
 	} {
 		err := run(args, &out)
 		if err == nil || errors.Is(err, errFailed) {
 			t.Errorf("run(%v) should have failed with a usage error, got %v", args, err)
 		}
+	}
+	for _, name := range []string{"shards", "workers"} {
+		err := run([]string{"-" + name, "2"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+			t.Errorf("run(-%s 2) = %v, want unknown-flag error", name, err)
+		}
+	}
+	// nolock over 8 threads would corrupt the tree and never return; the
+	// replay refuses to build it instead.
+	out.Reset()
+	err := run([]string{"-repro", "mc1:scheme=nolock;lock=mcs;struct=rbtree;threads=8;ops=200;keys=8;objs=1;read=0;move=0;skew=0;retries=3;quantum=0;cores=0;jitter=0;seed=0x1"}, &out)
+	if !errors.Is(err, errFailed) || !strings.Contains(out.String(), "one thread") {
+		t.Errorf("nolock replay over 8 threads = %v, %q; want a one-thread failure", err, out.String())
 	}
 }
 
@@ -129,16 +140,15 @@ func TestCampaignSubsetDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignJSONWorkerInvariance: -j 1 and -j 8 (with mismatched shard
-// geometry) must emit byte-identical campaign JSON — the fleet's
-// determinism contract at the CLI surface.
+// TestCampaignJSONWorkerInvariance: -j 1 and -j 8 must emit byte-identical
+// campaign JSON — the fleet's determinism contract at the CLI surface.
 func TestCampaignJSONWorkerInvariance(t *testing.T) {
 	base := []string{"-seeds", "3", "-schemes", "hle,opt-slr", "-locks", "ttas,mcs", "-json", "-"}
 	var a, b bytes.Buffer
 	if err := run(append([]string{"-j", "1"}, base...), &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append([]string{"-j", "8", "-shards", "5"}, base...), &b); err != nil {
+	if err := run(append([]string{"-j", "8"}, base...), &b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -235,7 +245,7 @@ func TestPromWorkerInvariance(t *testing.T) {
 	if err := run(append([]string{"-j", "1", "-prom", a}, base...), &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append([]string{"-j", "8", "-shards", "5", "-prom", b}, base...), &out); err != nil {
+	if err := run(append([]string{"-j", "8", "-prom", b}, base...), &out); err != nil {
 		t.Fatal(err)
 	}
 	rawA, err := os.ReadFile(a)

@@ -47,7 +47,6 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	})
 	j := fs.Int("j", 0, "parallel fleet workers (0 = all host CPUs)")
-	shards := fs.Int("shards", 0, "fleet work-stealing shards (0 = one per worker)")
 	adaptive := fs.String("adaptive", "", "also emit the adaptive-frontier table (results/adaptive.txt) comparing the adaptive family under this config (e.g. a cmd/tune winner, or 'default') against the fixed-policy schemes")
 	rollupOut := fs.String("rollup", "", "after the figures, re-run every computed point observed and write the campaign speculation-health rollup here ('-' = stdout)")
 	flightOn := fs.Bool("flight", false, "attach a flight recorder to every observed-pass point, folding the flight_* attempt-chain analytics into -rollup / -prom")
@@ -59,7 +58,7 @@ func run(args []string, stdout io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("reproduce: unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
-	fc, err := fleet.Flags(*j, *shards)
+	fc, err := fleet.Flags(*j)
 	if err != nil {
 		return err
 	}

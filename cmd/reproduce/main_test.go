@@ -11,15 +11,15 @@ import (
 	"testing"
 )
 
-// TestRejectsBadFleetFlags: negative -j / -shards exit non-zero before any
-// figure regenerates.
+// TestRejectsBadFleetFlags: a negative -j, or the removed -shards, exits
+// non-zero before any figure regenerates.
 func TestRejectsBadFleetFlags(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-j", "-1"}, &out); err == nil || !strings.Contains(err.Error(), "-j") {
 		t.Fatalf("run(-j -1) = %v, want -j complaint", err)
 	}
-	if err := run([]string{"-shards", "-2"}, &out); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("run(-shards -2) = %v, want -shards complaint", err)
+	if err := run([]string{"-shards", "2"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Fatalf("run(-shards 2) = %v, want unknown-flag error", err)
 	}
 	if err := run([]string{"stray"}, &out); err == nil {
 		t.Fatal("run accepted a stray positional argument")
@@ -30,7 +30,7 @@ func TestRejectsBadFleetFlags(t *testing.T) {
 }
 
 // TestOnlyWorkerInvariance: a fleet-run subset writes the same files and
-// the same stdout at -j 1 and at -j 8 with 3 shards.
+// the same stdout at -j 1 and at -j 8.
 func TestOnlyWorkerInvariance(t *testing.T) {
 	runOnly := func(fleetArgs ...string) (string, map[string]string) {
 		dir := t.TempDir()
@@ -42,7 +42,7 @@ func TestOnlyWorkerInvariance(t *testing.T) {
 		return out.String(), readDir(t, dir)
 	}
 	out1, files1 := runOnly("-j", "1")
-	out8, files8 := runOnly("-j", "8", "-shards", "3")
+	out8, files8 := runOnly("-j", "8")
 	if out1 != out8 {
 		t.Error("-j 1 and -j 8 printed different tables")
 	}

@@ -55,14 +55,13 @@ func run(args []string, stdout *os.File) error {
 	promOut := fs.String("prom", "", "re-run the winner and baselines observed and write the campaign rollup (flight_* chain analytics included) as a Prometheus exposition here ('-' = stdout)")
 	smoke := fs.Bool("smoke", false, "CI-sized pinned search on the lemming workload (overrides workload and search flags)")
 	j := fs.Int("j", 0, "parallel fleet workers (0 = all host cores); never affects results")
-	shards := fs.Int("shards", 0, "work-stealing shards per worker (0 = auto)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("tune: unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
-	fc, err := fleet.Flags(*j, *shards)
+	fc, err := fleet.Flags(*j)
 	if err != nil {
 		return err
 	}

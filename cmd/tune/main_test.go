@@ -44,6 +44,9 @@ func TestRejectsBadFlags(t *testing.T) {
 			t.Errorf("%s: run(%v) accepted", name, args)
 		}
 	}
+	if err := run([]string{"-shards", "2"}, out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Errorf("run(-shards 2) = %v, want unknown-flag error", err)
+	}
 	fi, err := out.Stat()
 	if err != nil {
 		t.Fatal(err)

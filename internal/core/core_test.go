@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"elision/internal/htm"
@@ -326,9 +327,18 @@ func TestSchemeNames(t *testing.T) {
 		t.Errorf("NoLock.Name() = %q", got)
 	}
 	for _, name := range SchemeNames() {
-		if s, err := BuildScheme(r.hm, name, r.lock, 2); err != nil || s.Name() != name {
+		procs := 2
+		if name == SchemeNameNoLock {
+			procs = 1
+		}
+		if s, err := BuildScheme(r.hm, name, r.lock, procs); err != nil || s.Name() != name {
 			t.Errorf("BuildScheme(%s) = %v, %v", name, s, err)
 		}
+	}
+	// nolock's unsynchronized bodies corrupt shared state under more than
+	// one thread, so the factory refuses that instead of building a hang.
+	if _, err := BuildScheme(r.hm, SchemeNameNoLock, r.lock, 2); err == nil || !strings.Contains(err.Error(), "one thread") {
+		t.Errorf("BuildScheme(nolock, 2 procs) = %v, want a one-thread error", err)
 	}
 }
 

@@ -125,8 +125,12 @@ func BuildLock(hm *htm.Memory, name string, procs int) (locks.Elidable, error) {
 	return nil, fmt.Errorf("core: unknown lock %q", name)
 }
 
-// BuildScheme constructs a scheme by name over the given lock.
+// BuildScheme constructs a scheme by name over the given lock for procs
+// threads. nolock runs bodies unsynchronized, so it takes one thread only.
 func BuildScheme(hm *htm.Memory, name string, l locks.Elidable, procs int) (Scheme, error) {
+	if name == SchemeNameNoLock && procs > 1 {
+		return nil, fmt.Errorf("core: scheme %s runs unsynchronized and needs one thread (got %d)", name, procs)
+	}
 	for _, r := range schemeRoster {
 		if r.name == name {
 			return r.build(hm, l, procs), nil

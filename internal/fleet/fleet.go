@@ -1,17 +1,15 @@
 // Package fleet is the campaign orchestrator: it fans independent,
 // deterministic jobs (benchmark points, fuzz cases, STAMP runs) out across
-// host goroutines with work-stealing shards, per-worker reusable state, and
-// streaming order-independent aggregation.
+// host goroutines with work stealing and per-worker reusable state.
 //
 // The contract every consumer relies on: the set of executed jobs, the
 // worker-to-job mapping's effect on results, and any aggregation built with
 // this package are independent of worker count and completion order. A
 // campaign's merged output must be byte-identical at -j 1 and -j N, which
-// is why results are always keyed by job index (or an explicit key) and
-// merged by sorting, never by arrival.
+// is why results are always keyed by job index, never by arrival.
 //
-// Jobs are handed out from shards — contiguous index ranges claimed with
-// one atomic add per job. A worker drains the shards it owns first (cheap,
+// Each worker owns one shard — a contiguous index range claimed with one
+// atomic add per job. A worker drains its own shard first (cheap,
 // contention-free) and then steals from whichever shard has the most work
 // left, so a straggler shard full of slow jobs is finished cooperatively
 // instead of serializing the tail of the campaign.
@@ -22,7 +20,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,9 +29,6 @@ import (
 type Config struct {
 	// Workers is the number of host goroutines (0 = one per host CPU).
 	Workers int
-	// Shards is the number of work-stealing index shards (0 = one per
-	// worker). More shards than workers gives finer-grained stealing.
-	Shards int
 	// Progress, when non-nil, is called after each completed job with the
 	// number done so far and the total. Calls are serialized and done is
 	// strictly increasing, but which job just finished is unspecified —
@@ -46,18 +40,14 @@ type Config struct {
 	Profile *Profile
 }
 
-// Flags validates the conventional -j / -shards command-line values and
-// returns the Config they select. j == 0 picks one worker per host CPU and
-// shards == 0 derives one shard per worker; negative values are errors (the
-// cmd tools exit non-zero instead of guessing).
-func Flags(j, shards int) (Config, error) {
+// Flags validates the conventional -j command-line value and returns the
+// Config it selects. j == 0 picks one worker per host CPU; a negative value
+// is an error (the cmd tools exit non-zero instead of guessing).
+func Flags(j int) (Config, error) {
 	if j < 0 {
 		return Config{}, fmt.Errorf("fleet: -j must be >= 0 (0 = all host CPUs), got %d", j)
 	}
-	if shards < 0 {
-		return Config{}, fmt.Errorf("fleet: -shards must be >= 0 (0 = one per worker), got %d", shards)
-	}
-	return Config{Workers: j, Shards: shards}, nil
+	return Config{Workers: j}, nil
 }
 
 // WorkerCount resolves the number of workers a Run with n jobs will use:
@@ -77,23 +67,8 @@ func (c Config) WorkerCount(n int) int {
 	return w
 }
 
-// shardCount resolves Config.Shards against the worker count and job count.
-func (c Config) shardCount(workers, n int) int {
-	s := c.Shards
-	if s <= 0 {
-		s = workers
-	}
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-// shard is one claimable index range [next, end). Padded so adjacent
-// shards' claim counters never share a cache line.
+// shard is one worker's claimable index range [next, end). Padded so
+// adjacent shards' claim counters never share a cache line.
 type shard struct {
 	next atomic.Int64
 	end  int64
@@ -133,12 +108,11 @@ func Run(cfg Config, n int, job func(worker, index int)) {
 		return
 	}
 	workers := cfg.WorkerCount(n)
-	nShards := cfg.shardCount(workers, n)
-	shards := make([]shard, nShards)
-	for s := 0; s < nShards; s++ {
-		// Contiguous ranges: shard s covers [s*n/nShards, (s+1)*n/nShards).
-		shards[s].next.Store(int64(s * n / nShards))
-		shards[s].end = int64((s + 1) * n / nShards)
+	shards := make([]shard, workers)
+	for w := range shards {
+		// Contiguous ranges: worker w owns [w*n/workers, (w+1)*n/workers).
+		shards[w].next.Store(int64(w * n / workers))
+		shards[w].end = int64((w + 1) * n / workers)
 	}
 
 	var (
@@ -165,13 +139,13 @@ func Run(cfg Config, n int, job func(worker, index int)) {
 		go func(w int) {
 			defer wg.Done()
 			for {
-				i, src, stolen := next(shards, w, workers)
+				i, src := next(shards, w)
 				if i < 0 {
 					return
 				}
 				start := cfg.Profile.jobStart()
 				job(w, int(i))
-				cfg.Profile.jobEnd(int(i), w, src, stolen, start)
+				cfg.Profile.jobEnd(int(i), w, src, start)
 				finished()
 			}
 		}(w)
@@ -179,15 +153,13 @@ func Run(cfg Config, n int, job func(worker, index int)) {
 	wg.Wait()
 }
 
-// next claims the next index for worker w: first from the shards w owns
-// (s ≡ w mod workers), then by stealing from the shard with the most
-// remaining work. Returns index -1 when every shard is drained, else the
-// claimed index, the shard it came from, and whether the claim was a steal.
-func next(shards []shard, w, workers int) (index int64, src int, stolen bool) {
-	for s := w; s < len(shards); s += workers {
-		if i := shards[s].claim(); i >= 0 {
-			return i, s, false
-		}
+// next claims the next index for worker w: first from its own shard w,
+// then by stealing from the shard with the most remaining work. Returns
+// index -1 when every shard is drained, else the claimed index and the
+// shard it came from (a steal when that is not w).
+func next(shards []shard, w int) (index int64, src int) {
+	if i := shards[w].claim(); i >= 0 {
+		return i, w
 	}
 	for {
 		victim, best := -1, int64(0)
@@ -197,10 +169,10 @@ func next(shards []shard, w, workers int) (index int64, src int, stolen bool) {
 			}
 		}
 		if victim < 0 {
-			return -1, -1, false
+			return -1, -1
 		}
 		if i := shards[victim].claim(); i >= 0 {
-			return i, victim, true
+			return i, victim
 		}
 		// Lost the race for the victim's last index; rescan.
 	}
@@ -212,42 +184,6 @@ func next(shards []shard, w, workers int) (index int64, src int, stolen bool) {
 func Collect[T any](cfg Config, n int, job func(index int) T) []T {
 	out := make([]T, n)
 	Run(cfg, n, func(_, i int) { out[i] = job(i) })
-	return out
-}
-
-// Merger accumulates keyed values streaming in from concurrently completing
-// jobs and drains them sorted by key — the deterministic merge for outputs
-// whose order must not depend on completion order (violation lists, CSV
-// rows). Add is safe to call from any worker; Sorted is called once, after
-// the Run that fed it returned.
-type Merger[T any] struct {
-	mu    sync.Mutex
-	items []mergeItem[T]
-}
-
-type mergeItem[T any] struct {
-	key int
-	val T
-}
-
-// Add records one keyed value. Keys are typically job indices; duplicates
-// are kept and sort adjacently in insertion-order-independent fashion only
-// if their values are identical, so prefer unique keys.
-func (g *Merger[T]) Add(key int, val T) {
-	g.mu.Lock()
-	g.items = append(g.items, mergeItem[T]{key, val})
-	g.mu.Unlock()
-}
-
-// Sorted returns the accumulated values in ascending key order.
-func (g *Merger[T]) Sorted() []T {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	sort.SliceStable(g.items, func(i, j int) bool { return g.items[i].key < g.items[j].key })
-	out := make([]T, len(g.items))
-	for i, it := range g.items {
-		out[i] = it.val
-	}
 	return out
 }
 

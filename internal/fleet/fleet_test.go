@@ -2,30 +2,26 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestRunEachIndexExactlyOnce: the work-stealing shards must hand out every
-// index exactly once, at any worker/shard geometry.
+// index exactly once, at any worker count.
 func TestRunEachIndexExactlyOnce(t *testing.T) {
-	for _, tc := range []struct{ n, workers, shards int }{
-		{0, 4, 0}, {1, 8, 3}, {7, 1, 1}, {100, 4, 4}, {100, 8, 32},
-		{100, 16, 1}, {33, 5, 7}, {1000, 8, 0},
+	for _, tc := range []struct{ n, workers int }{
+		{0, 4}, {1, 8}, {7, 1}, {100, 4}, {100, 16}, {33, 5}, {1000, 8},
 	} {
 		counts := make([]int32, tc.n)
-		Run(Config{Workers: tc.workers, Shards: tc.shards}, tc.n, func(_, i int) {
+		Run(Config{Workers: tc.workers}, tc.n, func(_, i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		for i, c := range counts {
 			if c != 1 {
-				t.Fatalf("n=%d workers=%d shards=%d: index %d ran %d times",
-					tc.n, tc.workers, tc.shards, i, c)
+				t.Fatalf("n=%d workers=%d: index %d ran %d times", tc.n, tc.workers, i, c)
 			}
 		}
 	}
@@ -51,9 +47,9 @@ func TestRunWorkerIDsInRange(t *testing.T) {
 // the rest; with stealing, other workers must execute some of its indices.
 func TestStealingDrainsStragglerShard(t *testing.T) {
 	const n = 64
-	// Shard 0 covers [0, 16) with 4 shards; make those jobs slow.
+	// Worker 0's shard covers [0, 16) with 4 workers; make those jobs slow.
 	workersSeen := make([]int32, n)
-	Run(Config{Workers: 4, Shards: 4}, n, func(w, i int) {
+	Run(Config{Workers: 4}, n, func(w, i int) {
 		if i < 16 {
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -68,40 +64,10 @@ func TestStealingDrainsStragglerShard(t *testing.T) {
 	}
 }
 
-// TestMergerSortsOutOfOrderCompletion injects adversarially reversed
-// completion order and asserts the merged output is in key order — the
-// property that makes campaign artifacts byte-identical at any -j.
-func TestMergerSortsOutOfOrderCompletion(t *testing.T) {
-	const n = 50
-	var g Merger[string]
-	var mu sync.Mutex
-	order := rand.New(rand.NewSource(7)).Perm(n) // completion order != key order
-	var wg sync.WaitGroup
-	for _, i := range order {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mu.Lock() // serialize adds in the shuffled order
-			g.Add(i, string(rune('a'+i%26)))
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	got := g.Sorted()
-	if len(got) != n {
-		t.Fatalf("merger holds %d items, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if want := string(rune('a' + i%26)); v != want {
-			t.Fatalf("position %d = %q, want %q (arrival order leaked into merge)", i, v, want)
-		}
-	}
-}
-
 // TestCollectIndexOrder: results land at their input index regardless of
 // which worker finished first.
 func TestCollectIndexOrder(t *testing.T) {
-	got := Collect(Config{Workers: 8, Shards: 16}, 100, func(i int) int {
+	got := Collect(Config{Workers: 8}, 100, func(i int) int {
 		if i%3 == 0 {
 			time.Sleep(time.Millisecond) // perturb completion order
 		}
@@ -135,23 +101,20 @@ func TestProgressMonotonicAndComplete(t *testing.T) {
 	}
 }
 
-// TestFlagsValidation: negative -j / -shards are rejected; 0 means auto.
+// TestFlagsValidation: a negative -j is rejected; 0 means auto.
 func TestFlagsValidation(t *testing.T) {
-	if _, err := Flags(-1, 0); err == nil || !strings.Contains(err.Error(), "-j") {
-		t.Fatalf("Flags(-1, 0) error = %v, want -j complaint", err)
+	if _, err := Flags(-1); err == nil || !strings.Contains(err.Error(), "-j") {
+		t.Fatalf("Flags(-1) error = %v, want -j complaint", err)
 	}
-	if _, err := Flags(0, -2); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("Flags(0, -2) error = %v, want -shards complaint", err)
-	}
-	cfg, err := Flags(0, 0)
+	cfg, err := Flags(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w := cfg.WorkerCount(1000); w < 1 {
 		t.Fatalf("WorkerCount = %d, want >= 1", w)
 	}
-	if cfg2, err := Flags(3, 9); err != nil || cfg2.Workers != 3 || cfg2.Shards != 9 {
-		t.Fatalf("Flags(3, 9) = %+v, %v", cfg2, err)
+	if cfg2, err := Flags(3); err != nil || cfg2.Workers != 3 {
+		t.Fatalf("Flags(3) = %+v, %v", cfg2, err)
 	}
 }
 

@@ -17,9 +17,8 @@ import (
 // are deterministic virtual-time machines, the fleet itself lives in host
 // wall time — shard claims, steals, worker occupancy. A Profile attached
 // through Config.Profile records one JobEvent per executed job plus live
-// counters, and exports three ways: registry metrics (Metrics), a
-// host-time Perfetto trace with one lane per worker (WritePerfetto) and a
-// text occupancy table (WriteText).
+// counters, and exports two ways: registry metrics (Metrics) and a
+// host-time Perfetto trace with one lane per worker (WritePerfetto).
 //
 // One Profile may span several Run calls (a campaign of rounds): workers
 // and jobs accumulate, and the wall clock runs from the first Run to the
@@ -52,9 +51,10 @@ type JobEvent struct {
 	Job int
 	// Worker is the executing worker id.
 	Worker int
-	// Shard is the shard the index was claimed from.
+	// Shard is the shard the index was claimed from: the worker that owns
+	// the job's index range.
 	Shard int
-	// Stolen marks a claim from a shard the worker does not own.
+	// Stolen marks a claim from another worker's shard (Shard != Worker).
 	Stolen bool
 	// Start and End are ns since the profile epoch.
 	Start, End int64
@@ -105,12 +105,14 @@ func (p *Profile) jobStart() int64 {
 	return p.clock()
 }
 
-// jobEnd records the completed job. Safe on a nil receiver.
-func (p *Profile) jobEnd(job, worker, shard int, stolen bool, start int64) {
+// jobEnd records the completed job, claimed by worker from shard. Safe on
+// a nil receiver.
+func (p *Profile) jobEnd(job, worker, shard int, start int64) {
 	if p == nil {
 		return
 	}
 	end := p.clock()
+	stolen := shard != worker
 	p.busy.Add(-1)
 	p.jobs.Add(1)
 	if stolen {
@@ -154,8 +156,8 @@ func (p *Profile) Jobs() uint64 {
 	return p.jobs.Load()
 }
 
-// Steals returns the number of jobs claimed from shards their worker did
-// not own. Safe on a nil receiver.
+// Steals returns the number of jobs claimed from another worker's shard.
+// Safe on a nil receiver.
 func (p *Profile) Steals() uint64 {
 	if p == nil {
 		return 0
@@ -311,35 +313,6 @@ func (p *Profile) WritePerfetto(w io.Writer) error {
 		})
 	}
 	return json.NewEncoder(w).Encode(out)
-}
-
-// WriteText renders the occupancy table: per-worker jobs, busy time and
-// busy fraction, plus the steal count and wall extent.
-func (p *Profile) WriteText(w io.Writer) {
-	if p == nil {
-		return
-	}
-	events := p.Events()
-	workers := p.Workers()
-	perWorker, mean := p.Occupancy()
-	jobs := make([]uint64, workers)
-	busy := make([]int64, workers)
-	for _, e := range events {
-		if e.Worker >= 0 && e.Worker < workers {
-			jobs[e.Worker]++
-			busy[e.Worker] += e.End - e.Start
-		}
-	}
-	fmt.Fprintf(w, "fleet profile: %d job(s) on %d worker(s), %d stolen, wall %.1fms, mean occupancy %.0f%%\n",
-		p.Jobs(), workers, p.Steals(), float64(p.WallNs())/1e6, 100*mean)
-	for id := 0; id < workers; id++ {
-		occ := 0.0
-		if id < len(perWorker) {
-			occ = perWorker[id]
-		}
-		fmt.Fprintf(w, "  worker %-3d %6d job(s) %10.1fms busy (%5.1f%%)\n",
-			id, jobs[id], float64(busy[id])/1e6, 100*occ)
-	}
 }
 
 // StatusLine renders the live one-line fleet status TTY progress appends:

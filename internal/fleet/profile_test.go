@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"elision/internal/obs"
 )
@@ -29,13 +31,13 @@ func syntheticProfile() *Profile {
 	now = 2_000_000
 	s1 := p.jobStart()
 	now = 5_000_000
-	p.jobEnd(0, 0, 0, false, s0)
+	p.jobEnd(0, 0, 0, s0)
 	now = 6_000_000
-	p.jobEnd(1, 1, 1, false, s1)
+	p.jobEnd(1, 1, 1, s1)
 	now = 6_500_000
 	s2 := p.jobStart()
 	now = 9_000_000
-	p.jobEnd(2, 0, 1, true, s2)
+	p.jobEnd(2, 0, 1, s2)
 	return p
 }
 
@@ -55,12 +57,10 @@ func TestProfileCounts(t *testing.T) {
 
 	var nilP *Profile
 	nilP.begin(4)
-	nilP.jobEnd(0, 0, 0, false, nilP.jobStart())
+	nilP.jobEnd(0, 0, 0, nilP.jobStart())
 	if nilP.Jobs() != 0 || nilP.StatusLine() != "" || nilP.Events() != nil {
 		t.Fatal("nil profile must be inert")
 	}
-	var buf bytes.Buffer
-	nilP.WriteText(&buf)
 	nilP.Metrics(nil)
 }
 
@@ -172,15 +172,25 @@ func TestProfileMetricsLint(t *testing.T) {
 }
 
 // TestProfileOnRealRun: a profile attached to a real Run records every job
-// exactly once, with in-range workers and shards, and forced stealing (one
-// worker owning zero shards is impossible, so use shards > workers and more
-// workers than shards to exercise both paths).
+// exactly once, with in-range workers and shards, and marks an event stolen
+// exactly when its shard is not its worker. Job 0 is held until another
+// worker has stolen a job, so both the owned and the stolen path run.
 func TestProfileOnRealRun(t *testing.T) {
 	p := NewProfileClock(tickClock())
-	const n = 64
+	const n, workers = 64, 4
 	var ran [n]atomic.Int32
-	Run(Config{Workers: 4, Shards: 2, Profile: p}, n, func(_, i int) {
+	stole := make(chan struct{})
+	var once sync.Once
+	Run(Config{Workers: workers, Profile: p}, n, func(w, i int) {
 		ran[i].Add(1)
+		if i == 0 {
+			select {
+			case <-stole:
+			case <-time.After(10 * time.Second):
+			}
+		} else if w != i/(n/workers) {
+			once.Do(func() { close(stole) })
+		}
 	})
 	for i := range ran {
 		if ran[i].Load() != 1 {
@@ -190,30 +200,35 @@ func TestProfileOnRealRun(t *testing.T) {
 	if p.Jobs() != n {
 		t.Fatalf("profile saw %d jobs, want %d", p.Jobs(), n)
 	}
-	// With 4 workers and 2 shards, workers 2 and 3 own nothing: every job
-	// they execute is a steal.
 	events := p.Events()
 	if len(events) != n {
 		t.Fatalf("profile recorded %d events, want %d", len(events), n)
 	}
 	seen := map[int]bool{}
+	var stolen uint64
 	for _, e := range events {
 		if seen[e.Job] {
 			t.Fatalf("job %d recorded twice", e.Job)
 		}
 		seen[e.Job] = true
-		if e.Worker < 0 || e.Worker >= 4 || e.Shard < 0 || e.Shard >= 2 {
+		if e.Worker < 0 || e.Worker >= workers || e.Shard < 0 || e.Shard >= workers {
 			t.Fatalf("event out of range: %+v", e)
 		}
 		if e.End < e.Start {
 			t.Fatalf("event ends before it starts: %+v", e)
 		}
-		if e.Worker >= 2 && !e.Stolen {
-			t.Fatalf("worker %d owns no shard but event not marked stolen: %+v", e.Worker, e)
+		if e.Stolen != (e.Shard != e.Worker) {
+			t.Fatalf("event stolen=%v but shard %d, worker %d: %+v", e.Stolen, e.Shard, e.Worker, e)
+		}
+		if e.Shard != e.Job/(n/workers) {
+			t.Fatalf("job %d claimed from shard %d, want its owner %d", e.Job, e.Shard, e.Job/(n/workers))
+		}
+		if e.Stolen {
+			stolen++
 		}
 	}
-	if p.Steals() == 0 {
-		t.Fatal("2 shards over 4 workers must steal at least once")
+	if p.Steals() == 0 || p.Steals() != stolen {
+		t.Fatalf("steals = %d, stolen events = %d; want equal and > 0", p.Steals(), stolen)
 	}
 	// A second Run accumulates into the same profile.
 	Run(Config{Workers: 2, Profile: p}, 8, func(_, _ int) {})
@@ -255,24 +270,8 @@ func TestProfileStatusLine(t *testing.T) {
 		t.Fatalf("StatusLine = %q, want \"busy 2/4\"", got)
 	}
 	now = 10
-	p.jobEnd(0, 0, 1, true, 0)
+	p.jobEnd(0, 0, 1, 0)
 	if got := p.StatusLine(); got != "busy 1/4 steals 1" {
 		t.Fatalf("StatusLine = %q", got)
-	}
-}
-
-// TestProfileWriteText: the occupancy table lists every worker.
-func TestProfileWriteText(t *testing.T) {
-	var buf bytes.Buffer
-	syntheticProfile().WriteText(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		"3 job(s) on 2 worker(s), 1 stolen",
-		"worker 0",
-		"worker 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("occupancy table lacks %q:\n%s", want, out)
-		}
 	}
 }

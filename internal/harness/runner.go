@@ -27,9 +27,8 @@ type Runner struct {
 	// kept across fan-outs so later figures reuse earlier snapshots.
 	pool []*Instance
 	// Fleet configures every fan-out: its workers (0 = one per host CPU),
-	// work-stealing shards, a Progress callback after each computed point,
-	// and a Profile recording the fleet's own execution (job spans, steals,
-	// occupancy).
+	// a Progress callback after each computed point, and a Profile
+	// recording the fleet's own execution (job spans, steals, occupancy).
 	Fleet fleet.Config
 	// Flight, when true, additionally attaches a flight recorder to every
 	// RunAllRollup point, so the campaign rollup folds the flight_* chain

@@ -2,7 +2,6 @@ package modelcheck
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -27,22 +26,15 @@ type CampaignConfig struct {
 	Deadline time.Time
 	// Shrink failing cases before reporting.
 	Shrink bool
-	// Workers bounds host-side parallelism (0 = one per host CPU).
-	Workers int
-	// Shards is the fleet work-stealing shard count (0 = one per worker).
-	Shards int
 	// HWFix arms htm's AbortOnDangerousWhileUnsubscribed on every generated
 	// case (Case.HWFix): the campaign that demonstrates the lazy-
 	// subscription fix. Under it lazysub carries the ordinary must-pass
 	// profile — zero violations expected, none tolerated.
 	HWFix bool
-	// Progress, when non-nil, receives fleet-level completion counts for the
-	// pinned-seed pass (time-boxed rounds report per round).
-	Progress func(done, total int)
-	// Profile, when non-nil, self-profiles the fleet executing the campaign
-	// (job spans, steals, occupancy); it accumulates across time-boxed
-	// rounds.
-	Profile *fleet.Profile
+	// Fleet runs the cases: its workers (0 = one per host CPU), a Progress
+	// callback (time-boxed rounds report per round) and a Profile that
+	// accumulates across rounds.
+	Fleet fleet.Config
 }
 
 // ComboSummary aggregates one scheme×lock cell of the campaign grid.
@@ -146,9 +138,9 @@ func comboSeed(base uint64, combo, i int) uint64 {
 
 // RunCampaign fuzzes the configured grid and aggregates a Summary. Cases fan
 // out on the fleet orchestrator and fold into the Summary as they complete:
-// combo counters are commutative sums, and failures are merged in global
-// case order, so the Summary is a byte-identical function of (config, code)
-// in pinned-seed mode at any worker count.
+// combo counters are commutative sums, and failures are listed in case
+// order, round by round, so the Summary is a byte-identical function of
+// (config, code) in pinned-seed mode at any worker count.
 func RunCampaign(cfg CampaignConfig) Summary {
 	schemes := cfg.Schemes
 	if len(schemes) == 0 {
@@ -157,10 +149,6 @@ func RunCampaign(cfg CampaignConfig) Summary {
 	lockNames := cfg.Locks
 	if len(lockNames) == 0 {
 		lockNames = RealLocks()
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	seeds := cfg.Seeds
 	if seeds <= 0 {
@@ -187,10 +175,7 @@ func RunCampaign(cfg CampaignConfig) Summary {
 		sum.Combos[i] = ComboSummary{Scheme: g.scheme, Lock: g.lock}
 	}
 
-	var (
-		foldMu   sync.Mutex
-		failures fleet.Merger[Failure]
-	)
+	var foldMu sync.Mutex
 	timeBoxed := !cfg.Deadline.IsZero()
 	round := 0
 	for {
@@ -199,9 +184,10 @@ func RunCampaign(cfg CampaignConfig) Summary {
 			n = 1 // one seed per combo per round, then re-check the clock
 		}
 		total := len(grid) * n
-		fc := fleet.Config{Workers: workers, Shards: cfg.Shards, Progress: cfg.Progress, Profile: cfg.Profile}
-		base := round * total // global case index offset for the failure merge
-		fleet.Run(fc, total, func(_, j int) {
+		// failures[j] is case j's failure, if any: each job writes only
+		// its own slot, and the round's failures append in case order.
+		failures := make([]*Failure, total)
+		fleet.Run(cfg.Fleet, total, func(_, j int) {
 			combo, i := j/n, j%n
 			g := grid[combo]
 			c := GenCase(g.scheme, g.lock, comboSeed(cfg.SeedBase, combo, round*n+i))
@@ -229,7 +215,7 @@ func RunCampaign(cfg CampaignConfig) Summary {
 					}
 					f.ShrunkRepro = ShrinkWhere(r.Case, nil, keep).Repro()
 				}
-				failures.Add(base+j, *f)
+				failures[j] = f
 			}
 			foldMu.Lock()
 			cs := &sum.Combos[combo]
@@ -249,13 +235,15 @@ func RunCampaign(cfg CampaignConfig) Summary {
 			sum.TotalUnexpected += r.Unexpected()
 			foldMu.Unlock()
 		})
+		for _, f := range failures {
+			if f != nil {
+				sum.Failures = append(sum.Failures, *f)
+			}
+		}
 		round++
 		if !timeBoxed || time.Now().After(cfg.Deadline) {
 			break
 		}
-	}
-	if fs := failures.Sorted(); len(fs) > 0 {
-		sum.Failures = fs
 	}
 	// Resolve the grid's expected-fail contracts: a scheme carrying one must
 	// have demonstrated it somewhere in the grid, or the campaign fails even

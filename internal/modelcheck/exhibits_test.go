@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"elision/internal/fleet"
 )
 
 // exhibitsPath is the committed record of lazysub's unsafety: one shrunk
@@ -19,7 +21,7 @@ const exhibitsPath = "testdata/lazysub_exhibits.txt"
 // exhibitCampaign is the pinned configuration the exhibits are defined by —
 // the same one CI's lazysub job runs.
 func exhibitCampaign() CampaignConfig {
-	return CampaignConfig{Schemes: []string{"lazysub"}, SeedBase: 1, Seeds: 4, Shrink: true, Workers: 8}
+	return CampaignConfig{Schemes: []string{"lazysub"}, SeedBase: 1, Seeds: 4, Shrink: true, Fleet: fleet.Config{Workers: 8}}
 }
 
 // renderExhibits runs the pinned lazysub campaign and renders the first

@@ -3,8 +3,12 @@ package modelcheck
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"elision/internal/fleet"
 )
 
 // TestReproRoundTrip pins the reproducer string format: every generated
@@ -94,7 +98,7 @@ func TestRunDeterministic(t *testing.T) {
 // adversary going quiet — all three block merging, and the logged
 // reproducer replays the offending run deterministically.
 func TestPinnedCampaignClean(t *testing.T) {
-	sum := RunCampaign(CampaignConfig{SeedBase: 1, Seeds: 4, Workers: 8})
+	sum := RunCampaign(CampaignConfig{SeedBase: 1, Seeds: 4, Fleet: fleet.Config{Workers: 8}})
 	if want := len(RealSchemes()) * len(RealLocks()); len(sum.Combos) != want {
 		t.Fatalf("campaign covered %d combos, factory surface has %d", len(sum.Combos), want)
 	}
@@ -139,7 +143,7 @@ func TestPinnedCampaignClean(t *testing.T) {
 // (the fix makes it safe) and the campaign degenerates to the strict
 // zero-violation gate. This is the repair half of the break/fix pair.
 func TestPinnedCampaignHWFixClean(t *testing.T) {
-	sum := RunCampaign(CampaignConfig{SeedBase: 1, Seeds: 4, Workers: 8, HWFix: true})
+	sum := RunCampaign(CampaignConfig{SeedBase: 1, Seeds: 4, Fleet: fleet.Config{Workers: 8}, HWFix: true})
 	for _, f := range sum.Failures {
 		t.Errorf("oracle %s: %s [repro %s]", f.Oracle, f.Detail, f.Repro)
 	}
@@ -162,12 +166,12 @@ func TestPinnedCampaignHWFixClean(t *testing.T) {
 // (config, code), never of scheduling on the host machine.
 func TestCampaignJSONDeterministic(t *testing.T) {
 	cfg := CampaignConfig{SeedBase: 99, Seeds: 2}
-	cfg.Workers = 1
+	cfg.Fleet.Workers = 1
 	one, err := json.Marshal(RunCampaign(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
+	cfg.Fleet.Workers = 8
 	eight, err := json.Marshal(RunCampaign(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -198,5 +202,47 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 	}
 	if !strings.Contains(r.Violations[0].Detail, "no-such-scheme") {
 		t.Fatalf("detail does not name the bad scheme: %s", r.Violations[0].Detail)
+	}
+}
+
+// TestTimeBoxedCampaignMatchesPinned: a time-boxed campaign's round r runs
+// seed r of every combo, so after R rounds it has run exactly the cases of a
+// pinned-seed campaign with Seeds = R. Every combo's tallies must match, and
+// the failures must be the same, listed round by round.
+func TestTimeBoxedCampaignMatchesPinned(t *testing.T) {
+	base := CampaignConfig{Schemes: []string{"lazysub"}, SeedBase: 7, Fleet: fleet.Config{Workers: 4}}
+	boxed := base
+	boxed.Deadline = time.Now().Add(300 * time.Millisecond)
+	got := RunCampaign(boxed)
+	rounds := got.TotalCases / len(got.Combos)
+	if rounds < 1 || got.TotalCases != rounds*len(got.Combos) {
+		t.Fatalf("time-boxed campaign ran %d cases over %d combos: not whole rounds", got.TotalCases, len(got.Combos))
+	}
+	pinned := base
+	pinned.Seeds = rounds
+	want := RunCampaign(pinned)
+	t.Logf("%d rounds, %d failures", rounds, len(want.Failures))
+	if !reflect.DeepEqual(got.Combos, want.Combos) {
+		t.Fatalf("combo tallies after %d rounds differ from a %d-seed campaign:\n got %+v\nwant %+v", rounds, rounds, got.Combos, want.Combos)
+	}
+	// The pinned campaign lists failures combo by combo; reorder them round
+	// by round, combo by combo within a round.
+	byRepro := map[string]Failure{}
+	for _, f := range want.Failures {
+		byRepro[f.Repro] = f
+	}
+	roundOrder := []Failure{}
+	for r := 0; r < rounds; r++ {
+		for combo, lock := range RealLocks() {
+			if f, ok := byRepro[GenCase("lazysub", lock, comboSeed(base.SeedBase, combo, r)).withDefaults().Repro()]; ok {
+				roundOrder = append(roundOrder, f)
+			}
+		}
+	}
+	if len(roundOrder) != len(want.Failures) {
+		t.Fatalf("placed %d of the pinned campaign's %d failures in rounds", len(roundOrder), len(want.Failures))
+	}
+	if !reflect.DeepEqual(got.Failures, roundOrder) {
+		t.Fatalf("time-boxed failures are not the pinned ones round by round:\n got %+v\nwant %+v", got.Failures, roundOrder)
 	}
 }

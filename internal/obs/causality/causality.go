@@ -89,54 +89,45 @@ type Config struct {
 	// that closes an epoch. Default 4096 — a few fallback critical sections
 	// at the simulator's cost model.
 	GapCycles uint64
-	// MinAborts is the minimum aborts for a closed interval to count as an
-	// epoch; smaller ones are tallied as stray roots (a lone fallback
-	// acquisition that doomed one speculator is contention, not a cascade).
-	// Default 2.
-	MinAborts int
-	// MinChained is the minimum chained roots — fallback-lock aborts whose
-	// non-transactional aborter was itself a prior victim in the interval —
-	// for a closed interval to count as an epoch. One real acquire dooming a
-	// star of speculators who then all resume speculating (opt-SLR's
-	// transient burst, chained <= 1) is not a serialization epoch; victims
-	// repeatedly re-dooming as they drain through the lock queue (lemming
-	// runs show roughly one chained root per abort) is. Default 2.
-	MinChained int
-	// ChainedFraction is the minimum chained-roots-to-aborts ratio for an
-	// epoch — the scale-free counterpart of MinChained. Long healthy runs
-	// accumulate a few chained roots by coincidence (opt-SLR at 2M cycles
-	// measures <= 0.07); sustained cascades chain on most aborts (lemming
-	// runs measure >= 0.7). Default 0.15.
-	ChainedFraction float64
 	// MaxEdges bounds the retained causality edges (flow-event memory);
 	// classification and epoch accounting continue past the bound.
 	// Default 4096; negative keeps no edges, for callers that read only
 	// the report and the registry families.
 	MaxEdges int
-	// SerializedFraction is the share of covered cycles spent inside epochs
-	// above which (together with >= 1 epoch and a collapsed in-epoch
-	// speculation ratio) the verdict is "lemming". Default 0.25.
-	SerializedFraction float64
 }
+
+// Epoch and verdict thresholds.
+const (
+	// minAborts is the minimum aborts for a closed interval to count as an
+	// epoch; smaller ones are tallied as stray roots (a lone fallback
+	// acquisition that doomed one speculator is contention, not a cascade).
+	minAborts = 2
+	// minChained is the minimum chained roots — fallback-lock aborts whose
+	// non-transactional aborter was itself a prior victim in the interval —
+	// for a closed interval to count as an epoch. One real acquire dooming a
+	// star of speculators who then all resume speculating (opt-SLR's
+	// transient burst, chained <= 1) is not a serialization epoch; victims
+	// repeatedly re-dooming as they drain through the lock queue (lemming
+	// runs show roughly one chained root per abort) is.
+	minChained = 2
+	// chainedFraction is the minimum chained-roots-to-aborts ratio for an
+	// epoch — the scale-free counterpart of minChained. Long healthy runs
+	// accumulate a few chained roots by coincidence (opt-SLR at 2M cycles
+	// measures <= 0.07); sustained cascades chain on most aborts (lemming
+	// runs measure >= 0.7).
+	chainedFraction = 0.15
+	// serializedFraction is the share of covered cycles spent inside epochs
+	// above which (together with >= 1 epoch and a collapsed in-epoch
+	// speculation ratio) the verdict is "lemming".
+	serializedFraction = 0.25
+)
 
 func (c Config) withDefaults() Config {
 	if c.GapCycles == 0 {
 		c.GapCycles = 4096
 	}
-	if c.MinAborts == 0 {
-		c.MinAborts = 2
-	}
-	if c.MinChained == 0 {
-		c.MinChained = 2
-	}
-	if c.ChainedFraction == 0 {
-		c.ChainedFraction = 0.15
-	}
 	if c.MaxEdges == 0 {
 		c.MaxEdges = 4096
-	}
-	if c.SerializedFraction == 0 {
-		c.SerializedFraction = 0.25
 	}
 	return c
 }
@@ -170,8 +161,7 @@ type EpochStat struct {
 	Ops, SpecOps uint64
 	// ChainedRoots counts fallback-lock aborts whose non-transactional
 	// aborter was itself a prior victim — the queue-remembers links that
-	// make the cascade self-sustaining (>= Config.MinChained for a counted
-	// epoch).
+	// make the cascade self-sustaining (>= minChained for a counted epoch).
 	ChainedRoots int
 }
 
@@ -322,8 +312,8 @@ func (e *Engine) closeEpoch() {
 		MaxDepth: e.maxDepth, Ops: e.openOps, SpecOps: e.openSpecOps,
 		ChainedRoots: e.openChained,
 	}
-	if st.Aborts < e.cfg.MinAborts || st.ChainedRoots < e.cfg.MinChained ||
-		float64(st.ChainedRoots) < e.cfg.ChainedFraction*float64(st.Aborts) {
+	if st.Aborts < minAborts || st.ChainedRoots < minChained ||
+		float64(st.ChainedRoots) < chainedFraction*float64(st.Aborts) {
 		e.strayRoots++
 	} else {
 		e.epochs = append(e.epochs, st)
@@ -453,7 +443,8 @@ type Report struct {
 	AbortsByClass map[string]uint64
 	// Epochs is the closed serialization epochs, in time order.
 	Epochs []EpochStat
-	// StrayRoots counts fallback-rooted intervals below MinAborts.
+	// StrayRoots counts fallback-rooted intervals below the epoch
+	// thresholds.
 	StrayRoots int
 	// Commits / Ops / SpecOps are stream totals.
 	Commits, Ops, SpecOps uint64
@@ -462,9 +453,9 @@ type Report struct {
 	AuxOps, AuxRejoins uint64
 	// TotalCycles is the run's covered virtual time (0 before Finish).
 	TotalCycles uint64
-	// Lemming is the verdict: at least one epoch, at least the configured
-	// fraction of covered cycles spent serialized, and speculation collapsed
-	// inside the epochs (in-epoch spec ratio below one half).
+	// Lemming is the verdict: at least one epoch, at least a quarter of
+	// covered cycles spent serialized, and speculation collapsed inside the
+	// epochs (in-epoch spec ratio below one half).
 	Lemming bool
 }
 
@@ -486,7 +477,7 @@ func (e *Engine) Report() Report {
 			r.AbortsByClass[classNames[cl]] = n
 		}
 	}
-	r.Lemming = len(r.Epochs) > 0 && r.SerializedFraction() >= e.cfg.SerializedFraction &&
+	r.Lemming = len(r.Epochs) > 0 && r.SerializedFraction() >= serializedFraction &&
 		r.InEpochSpecRatio() < 0.5
 	return r
 }

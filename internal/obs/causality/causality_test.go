@@ -141,10 +141,11 @@ func TestStarBurstStaysStray(t *testing.T) {
 	}
 }
 
-// TestChainedFractionDemotion: chained roots above MinChained but diluted far
-// below ChainedFraction by background spec conflicts stay stray.
+// TestChainedFractionDemotion: chained roots at the two-root minimum but
+// diluted far below the 0.15 chained fraction by background spec conflicts
+// stay stray.
 func TestChainedFractionDemotion(t *testing.T) {
-	e := newEngine(causality.Config{}) // ChainedFraction 0.15
+	e := newEngine(causality.Config{})
 	e.Observe(flAbort(1000, 1, 9))
 	for i := 0; i < 19; i++ { // 19 spec conflicts inside the open epoch
 		e.Observe(specAbort(1100+uint64(i), 20+i, 40+i))
@@ -154,7 +155,8 @@ func TestChainedFractionDemotion(t *testing.T) {
 	e.Observe(finish(3000))
 
 	r := e.Report()
-	// 22 aborts, 2 chained: 0.09 < 0.15 even though 2 >= MinChained.
+	// 22 aborts, 2 chained: 0.09 < 0.15 even though 2 chained roots meet
+	// the minimum.
 	if len(r.Epochs) != 0 || r.StrayRoots != 1 {
 		t.Fatalf("epochs=%d stray=%d, want 0/1 (chained fraction 2/22 below threshold)",
 			len(r.Epochs), r.StrayRoots)

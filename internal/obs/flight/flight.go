@@ -12,7 +12,7 @@
 //
 // The analytics fold into the collector's registry as flight_* families —
 // plain commutative counters and log2-bucket histograms — so campaign
-// rollups (obs/rollup) aggregate them across fleet shards with no extra
+// rollups (obs/rollup) aggregate them across fleet workers with no extra
 // machinery and the folded output stays byte-identical at any worker count.
 // The per-chain cycle accounting partitions every chain's span into named
 // buckets:
@@ -40,6 +40,7 @@ import (
 	"io"
 
 	"elision/internal/core"
+	"elision/internal/htm"
 	"elision/internal/obs"
 )
 
@@ -154,31 +155,6 @@ const (
 	MetricTruncated = "flight_chains_truncated_total"
 )
 
-// classify maps an abort event's (cause, code) to its adaptive-policy
-// class, mirroring core.ClassifyAbort over the event stream's string
-// causes.
-func classify(cause string, code int) core.AbortClass {
-	switch cause {
-	case "conflict":
-		return core.ClassConflict
-	case "capacity":
-		return core.ClassCapacity
-	case "explicit":
-		switch code {
-		case core.CodeSLRLockHeld, core.CodeNonSpecRun, core.CodeLockBusy:
-			return core.ClassBusy
-		}
-		return core.ClassOther
-	case "dangerous":
-		// Lazy-subscription fix aborts (htm.CauseDangerous) bucket as
-		// "other", matching core.ClassifyAbort: they recur regardless of
-		// lock state, so they are not busy-class.
-		return core.ClassOther
-	default:
-		return core.ClassOther
-	}
-}
-
 // Config parameterizes a Recorder.
 type Config struct {
 	// MaxChains bounds how many chains keep their raw event lists (for
@@ -275,7 +251,8 @@ func (r *Recorder) Observe(ev *obs.Event) {
 		obs.KindLockRelease, obs.KindAuxWait, obs.KindAuxAcquire, obs.KindAuxRelease:
 		r.record(ev.Tid, Event{When: ev.When, Kind: ev.Kind, Class: core.ClassNone})
 	case obs.KindTxAbort:
-		r.record(ev.Tid, Event{When: ev.When, Kind: ev.Kind, Class: classify(ev.Cause, ev.Code)})
+		class := core.ClassifyAbort(htm.Status{Cause: htm.Cause(ev.Arg), Code: ev.Code})
+		r.record(ev.Tid, Event{When: ev.When, Kind: ev.Kind, Class: class})
 	case obs.KindOp:
 		r.seal(ev)
 	case obs.KindFinish:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"elision/internal/core"
+	"elision/internal/htm"
 	"elision/internal/obs"
 )
 
@@ -18,7 +19,7 @@ func emit(col *obs.Collector, k obs.Kind, when uint64, tid int) {
 // with a KindOp event.
 func feedFallbackChain(col *obs.Collector, tid int, base uint64) {
 	emit(col, obs.KindTxBegin, base+10, tid)
-	col.Observe(&obs.Event{Kind: obs.KindTxAbort, When: base + 40, Tid: tid, Cause: "conflict", ConflictLine: 7, ConflictTid: 1})
+	col.Observe(&obs.Event{Kind: obs.KindTxAbort, When: base + 40, Tid: tid, Cause: "conflict", Arg: int64(htm.CauseConflict), ConflictLine: 7, ConflictTid: 1})
 	emit(col, obs.KindLockWait, base+45, tid)
 	emit(col, obs.KindLockAcquire, base+65, tid)
 	emit(col, obs.KindLockRelease, base+95, tid)

@@ -1,15 +1,14 @@
 // Package rollup merges per-run observability into a deterministic
 // campaign-level view: the metrics registries, conflict hot-line profiles
 // and abort-causality scorecards of every point a fleet executed, folded
-// across shards into one speculation-health scorecard and one Prometheus
+// across workers into one speculation-health scorecard and one Prometheus
 // exposition.
 //
-// The merge discipline mirrors fleet.Merger: every fold is a commutative
-// sum (or max, or bitmask union) keyed by (scheme, lock) and metric
-// identity, and every renderer sorts by key before writing — so a
-// campaign's rolled-up output is a byte-identical function of the set of
-// runs, independent of worker count and completion order. AddRun is safe to
-// call concurrently from fleet workers.
+// Every fold is a commutative sum (or max, or bitmask union) keyed by
+// (scheme, lock) and metric identity, and every renderer sorts by key
+// before writing — so a campaign's rolled-up output is a byte-identical
+// function of the set of runs, independent of worker count and completion
+// order. AddRun is safe to call concurrently from fleet workers.
 package rollup
 
 import (

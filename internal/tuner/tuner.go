@@ -7,8 +7,8 @@
 // tuner's Config — candidate generation is seeded (SpaceSeed), rung budgets
 // derive from FinalBudget and Eta, every simulated point is a bit-for-bit
 // function of its DSConfig, survivors are ranked with index tie-breaks, and
-// all aggregation is keyed by candidate index. Worker count, shard count,
-// host scheduling and wall-clock time never reach the output, so the JSON
+// all aggregation is keyed by candidate index. Worker count, host
+// scheduling and wall-clock time never reach the output, so the JSON
 // marshals byte-identically at any -j. (What is host-dependent: how long
 // the search takes, and nothing else.)
 package tuner

@@ -77,7 +77,7 @@ func TestConfigValidate(t *testing.T) {
 // run executes the smoke search at the given worker count.
 func run(t *testing.T, j int) Result {
 	t.Helper()
-	fc, err := fleet.Flags(j, 0)
+	fc, err := fleet.Flags(j)
 	if err != nil {
 		t.Fatal(err)
 	}
