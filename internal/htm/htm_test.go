@@ -273,6 +273,32 @@ func TestCapacityAborts(t *testing.T) {
 	}
 }
 
+// TestWriteSetBeyondSlotsPanics: NewMemory and Reset refuse a write set
+// larger than a line's buffer slot can index, rather than wrap slots.
+func TestWriteSetBeyondSlotsPanics(t *testing.T) {
+	m := sim.MustNew(sim.Config{Procs: 1, Seed: 7})
+	most := Config{Words: 1 << 10, MaxWriteLines: math.MaxUint16 + 1}
+	hm := NewMemory(m, most)
+	hm.Reset(m, most)
+	over := Config{Words: 1 << 10, MaxWriteLines: math.MaxUint16 + 2}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"NewMemory", func() { NewMemory(m, over) }},
+		{"Reset", func() { hm.Reset(m, over) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted MaxWriteLines %d", c.name, over.MaxWriteLines)
+				}
+			}()
+			c.f()
+		}()
+	}
+}
+
 func TestSpuriousAborts(t *testing.T) {
 	m := sim.MustNew(sim.Config{Procs: 1, Seed: 7})
 	cost := testCost()
