@@ -18,6 +18,8 @@ type Observed struct {
 	inner Scheme
 	col   *obs.Collector
 	// ev is the event being emitted, kept here so emitting never allocates.
+	// Its kind is KindOp from construction and each emission writes every
+	// op-payload field in place, so the fields outside it stay zero.
 	ev obs.Event
 }
 
@@ -29,7 +31,7 @@ func Observe(s Scheme, col *obs.Collector) Scheme {
 	if col == nil {
 		return s
 	}
-	return &Observed{inner: s, col: col}
+	return &Observed{inner: s, col: col, ev: obs.Event{Kind: obs.KindOp}}
 }
 
 // Name implements Scheme.
@@ -43,21 +45,12 @@ func (s *Observed) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 	if o.ForfeitEntered {
 		exhausted = o.ExhaustedClass.String()
 	}
-	s.ev = obs.Event{
-		Kind:           obs.KindOp,
-		When:           p.Clock(),
-		Tid:            p.ID(),
-		Start:          start,
-		Spec:           o.Speculative,
-		Attempts:       o.Attempts,
-		Aborts:         o.Aborts,
-		AuxUsed:        o.AuxUsed,
-		AuxDwell:       o.AuxDwell,
-		Forfeited:      o.Forfeited,
-		ForfeitEntered: o.ForfeitEntered,
-		ForfeitExited:  o.ForfeitExited,
-		ExhaustedClass: exhausted,
-	}
-	s.col.Observe(&s.ev)
+	ev := &s.ev
+	ev.When, ev.Tid, ev.Start = p.Clock(), p.ID(), start
+	ev.Spec, ev.Attempts, ev.Aborts = o.Speculative, o.Attempts, o.Aborts
+	ev.AuxUsed, ev.AuxDwell = o.AuxUsed, o.AuxDwell
+	ev.Forfeited, ev.ForfeitEntered, ev.ForfeitExited = o.Forfeited, o.ForfeitEntered, o.ForfeitExited
+	ev.ExhaustedClass = exhausted
+	s.col.Observe(ev)
 	return o
 }
