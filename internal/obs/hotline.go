@@ -14,23 +14,42 @@ import (
 // CauseConflict abort status.
 type HotLines struct {
 	mu sync.Mutex
-	// counts is conflict aborts per line.
-	counts map[int]uint64
-	// requestors is the set of procs whose accesses doomed victims on the
-	// line (a bitmask; the sim caps procs at 64).
-	requestors map[int]uint64
+	// index maps a line to its tally in lines.
+	index map[int]int
+	// lines is one tally per line, in first-abort order: its conflict
+	// aborts and the bitmask of procs whose accesses doomed victims there
+	// (the sim caps procs at 64).
+	lines []LineCount
 	// aborters is conflict aborts per dooming proc tid — who caused aborts,
-	// not just where. Fed from Status.ConflictTid.
-	aborters map[int]uint64
+	// not just where — fed from Status.ConflictTid and grown on demand; a
+	// zero entry is a proc that caused none.
+	aborters []uint64
 }
 
 // NewHotLines creates an empty profiler.
 func NewHotLines() *HotLines {
-	return &HotLines{
-		counts:     make(map[int]uint64),
-		requestors: make(map[int]uint64),
-		aborters:   make(map[int]uint64),
+	return &HotLines{index: make(map[int]int)}
+}
+
+// tally returns line's tally, adding an empty one on its first abort. The
+// caller holds h.mu.
+func (h *HotLines) tally(line int) *LineCount {
+	i, ok := h.index[line]
+	if !ok {
+		i = len(h.lines)
+		h.index[line] = i
+		h.lines = append(h.lines, LineCount{Line: line})
 	}
+	return &h.lines[i]
+}
+
+// countAborter adds n conflict aborts caused by tid >= 0. The caller holds
+// h.mu.
+func (h *HotLines) countAborter(tid int, n uint64) {
+	if tid >= len(h.aborters) {
+		h.aborters = append(h.aborters, make([]uint64, tid+1-len(h.aborters))...)
+	}
+	h.aborters[tid] += n
 }
 
 // Record attributes one conflict abort to line, doomed by proc tid (pass a
@@ -41,11 +60,12 @@ func (h *HotLines) Record(line, tid int) {
 		return
 	}
 	h.mu.Lock()
-	h.counts[line]++
+	lc := h.tally(line)
+	lc.Aborts++
 	if tid >= 0 {
-		h.aborters[tid]++
+		h.countAborter(tid, 1)
 		if tid < 64 {
-			h.requestors[line] |= 1 << uint(tid)
+			lc.Requestors |= 1 << uint(tid)
 		}
 	}
 	h.mu.Unlock()
@@ -59,8 +79,8 @@ func (h *HotLines) Total() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var t uint64
-	for _, n := range h.counts {
-		t += n
+	for _, lc := range h.lines {
+		t += lc.Aborts
 	}
 	return t
 }
@@ -82,10 +102,8 @@ func (h *HotLines) TopN(n int) []LineCount {
 		return nil
 	}
 	h.mu.Lock()
-	out := make([]LineCount, 0, len(h.counts))
-	for line, c := range h.counts {
-		out = append(out, LineCount{Line: line, Aborts: c, Requestors: h.requestors[line]})
-	}
+	out := make([]LineCount, len(h.lines))
+	copy(out, h.lines)
 	h.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Aborts != out[j].Aborts {
@@ -117,7 +135,9 @@ func (h *HotLines) TopAborters(n int) []AborterCount {
 	h.mu.Lock()
 	out := make([]AborterCount, 0, len(h.aborters))
 	for tid, c := range h.aborters {
-		out = append(out, AborterCount{Tid: tid, Aborts: c})
+		if c != 0 {
+			out = append(out, AborterCount{Tid: tid, Aborts: c})
+		}
 	}
 	h.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

@@ -204,29 +204,20 @@ func (h *HotLines) Merge(src *HotLines) {
 		return
 	}
 	src.mu.Lock()
-	counts := make(map[int]uint64, len(src.counts))
-	for line, n := range src.counts {
-		counts[line] = n
-	}
-	requestors := make(map[int]uint64, len(src.requestors))
-	for line, m := range src.requestors {
-		requestors[line] = m
-	}
-	aborters := make(map[int]uint64, len(src.aborters))
-	for tid, n := range src.aborters {
-		aborters[tid] = n
-	}
+	lines := append([]LineCount(nil), src.lines...)
+	aborters := append([]uint64(nil), src.aborters...)
 	src.mu.Unlock()
 
 	h.mu.Lock()
-	for line, n := range counts {
-		h.counts[line] += n
-	}
-	for line, m := range requestors {
-		h.requestors[line] |= m
+	for _, lc := range lines {
+		t := h.tally(lc.Line)
+		t.Aborts += lc.Aborts
+		t.Requestors |= lc.Requestors
 	}
 	for tid, n := range aborters {
-		h.aborters[tid] += n
+		if n != 0 {
+			h.countAborter(tid, n)
+		}
 	}
 	h.mu.Unlock()
 }
