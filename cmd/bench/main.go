@@ -5,8 +5,10 @@
 //
 //	go run ./cmd/bench                              # JSON to stdout
 //	go run ./cmd/bench -out BENCH_simulator.json
-//	go run ./cmd/bench -compare old.json -out new.json   # embed baseline + ratios
 //	go run ./cmd/bench -j 8                         # pin the campaign fleet's workers
+//
+// cmd/benchdiff compares a report against a baseline such as the committed
+// BENCH_simulator.json.
 //
 // Every workload is a deterministic function of its seed: the JSON records
 // the simulated cycles and transactions per run alongside the host-time
@@ -55,12 +57,6 @@ type Measurement struct {
 	SimTxnsPerOp   uint64  `json:"sim_txns_per_op"`
 	NsPerSimCycle  float64 `json:"ns_per_sim_cycle"`
 	NsPerTxn       float64 `json:"ns_per_txn"`
-	// Baseline fields are filled by -compare: the same workload's previous
-	// numbers and the improvement ratios (>1 means this run is better).
-	BaselineNsPerOp     float64 `json:"baseline_ns_per_op,omitempty"`
-	BaselineAllocsPerOp float64 `json:"baseline_allocs_per_op,omitempty"`
-	SpeedupNs           float64 `json:"speedup_ns,omitempty"`
-	AllocImprovement    float64 `json:"alloc_improvement,omitempty"`
 }
 
 // CampaignMetrics reports the fleet's campaign-level throughput: a fixed
@@ -325,7 +321,6 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	out := fs.String("out", "", "write JSON here instead of stdout")
-	compare := fs.String("compare", "", "baseline BENCH_simulator.json to embed and compute ratios against")
 	iters := fs.Int("iters", 5, "measured iterations per workload (after one warmup)")
 	j := fs.Int("j", 0, "parallel fleet workers for the campaign measurement (0 = all host CPUs)")
 	prom := fs.String("prom", "", "write campaign metrics (observed rollup pass + fleet self-metrics) as a Prometheus exposition here")
@@ -347,35 +342,10 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var baseline map[string]Measurement
-	if *compare != "" {
-		raw, err := os.ReadFile(*compare)
-		if err != nil {
-			return err
-		}
-		var prev Report
-		if err := json.Unmarshal(raw, &prev); err != nil {
-			return fmt.Errorf("bench: baseline %s: %w", *compare, err)
-		}
-		if len(prev.Workloads) == 0 {
-			return fmt.Errorf("bench: baseline %s contains no workloads", *compare)
-		}
-		baseline = make(map[string]Measurement, len(prev.Workloads))
-		for _, m := range prev.Workloads {
-			baseline[m.Name] = m
-		}
-	}
-
 	rep := Report{Schema: "elision-bench/v1", GoVersion: runtime.Version(), Iterations: *iters}
 	for _, w := range workloads() {
 		fmt.Fprintf(os.Stderr, "bench: %s...", w.Name)
 		m := measure(w, *iters)
-		if b, ok := baseline[w.Name]; ok && m.NsPerOp > 0 && m.AllocsPerOp > 0 {
-			m.BaselineNsPerOp = b.NsPerOp
-			m.BaselineAllocsPerOp = b.AllocsPerOp
-			m.SpeedupNs = b.NsPerOp / m.NsPerOp
-			m.AllocImprovement = b.AllocsPerOp / m.AllocsPerOp
-		}
 		rep.Workloads = append(rep.Workloads, m)
 		fmt.Fprintf(os.Stderr, " %.1fms/op, %.0f allocs/op\n", m.NsPerOp/1e6, m.AllocsPerOp)
 	}
