@@ -27,11 +27,11 @@ import (
 	"strings"
 	"time"
 
+	"elision/internal/cli"
 	"elision/internal/fleet"
 	"elision/internal/harness"
 	"elision/internal/obs"
 	"elision/internal/obs/flight"
-	"elision/internal/obs/rollup"
 	"elision/internal/sim"
 	"elision/internal/stamp"
 )
@@ -297,20 +297,6 @@ func measureCampaign(fc fleet.Config, prof *fleet.Profile) CampaignMetrics {
 	return m
 }
 
-// observedCampaign re-runs the campaign grid with the full observability
-// rig — collector plus causality engine per point — on a separate runner,
-// so the rollup pass never perturbs the timed measurement above. Returns
-// the campaign rollup and a registry of the runner's pooling metrics.
-func observedCampaign(fc fleet.Config, prof *fleet.Profile) (*rollup.Campaign, *obs.Registry) {
-	r := harness.NewRunner()
-	r.Fleet = fleet.Config{Workers: fc.Workers, Profile: prof}
-	ru := rollup.New()
-	r.RunAllRollup(campaignGrid(), ru)
-	fleetReg := obs.NewRegistry()
-	r.Metrics(fleetReg)
-	return ru, fleetReg
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -323,8 +309,6 @@ func run(args []string, stdout io.Writer) error {
 	out := fs.String("out", "", "write JSON here instead of stdout")
 	iters := fs.Int("iters", 5, "measured iterations per workload (after one warmup)")
 	j := fs.Int("j", 0, "parallel fleet workers for the campaign measurement (0 = all host CPUs)")
-	prom := fs.String("prom", "", "write campaign metrics (observed rollup pass + fleet self-metrics) as a Prometheus exposition here")
-	fleetTrace := fs.String("fleet-trace", "", "write the fleet's self-profile as a Perfetto/Chrome trace here")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -354,41 +338,10 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(os.Stderr, " %.2fx (%.1fms unobserved, %.1fms with recorder)\n",
 		rep.Flight.Ratio, rep.Flight.UnobservedNsPerOp/1e6, rep.Flight.FlightNsPerOp/1e6)
 	fmt.Fprintf(os.Stderr, "bench: campaign (%d points)...", len(campaignGrid()))
-	prof := fleet.NewProfile()
-	rep.Campaign = measureCampaign(fc, prof)
+	rep.Campaign = measureCampaign(fc, fleet.NewProfile())
 	fmt.Fprintf(os.Stderr, " %.1f sims/s, %.0f txns/s, prefill hit rate %.0f%%, occupancy %.0f%%\n",
 		rep.Campaign.SimsPerSec, rep.Campaign.TxnsPerSec, 100*rep.Campaign.PrefillHitRate,
 		rep.Campaign.OccupancyPct)
-	if *prom != "" {
-		// The observed pass runs on its own runner (and its own profile slot
-		// in the trace) so observers never touch the timed numbers above.
-		fmt.Fprintf(os.Stderr, "bench: observed rollup pass...")
-		ru, fleetReg := observedCampaign(fc, prof)
-		prof.Metrics(fleetReg)
-		f, err := os.Create(*prom)
-		if err != nil {
-			return err
-		}
-		ru.WritePrometheus(f, fleetReg)
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, " wrote %s\n", *prom)
-	}
-	if *fleetTrace != "" {
-		f, err := os.Create(*fleetTrace)
-		if err != nil {
-			return err
-		}
-		if err := prof.WritePerfetto(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bench: wrote fleet trace %s\n", *fleetTrace)
-	}
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -396,8 +349,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	enc = append(enc, '\n')
 	if *out == "" {
-		_, err = stdout.Write(enc)
-		return err
+		*out = "-"
 	}
-	return os.WriteFile(*out, enc, 0o644)
+	return cli.Write(*out, stdout, func(w io.Writer) error {
+		_, err := w.Write(enc)
+		return err
+	})
 }

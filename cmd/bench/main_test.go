@@ -2,12 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"elision/internal/fleet"
-	"elision/internal/obs"
 )
 
 // TestRejectsBadIters: a non-positive -iters used to run the whole suite
@@ -36,15 +34,18 @@ func TestRejectsMalformedFlags(t *testing.T) {
 	}
 }
 
-// TestRejectsBadFleetFlags: a negative -j, or the removed -shards, exits
-// non-zero before any workload runs.
+// TestRejectsBadFleetFlags: a negative -j, or the removed -shards, -prom
+// and -fleet-trace (reproduce writes the campaign exposition and fleet
+// trace), exits non-zero before any workload runs.
 func TestRejectsBadFleetFlags(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-j", "-1"}, &out); err == nil || !strings.Contains(err.Error(), "-j") {
 		t.Fatalf("run(-j -1) = %v, want -j complaint", err)
 	}
-	if err := run([]string{"-shards", "2"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
-		t.Fatalf("run(-shards 2) = %v, want unknown-flag error", err)
+	for _, name := range []string{"shards", "prom", "fleet-trace"} {
+		if err := run([]string{"-" + name, "x"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {
+			t.Errorf("run(-%s x) = %v, want unknown-flag error", name, err)
+		}
 	}
 }
 
@@ -72,39 +73,5 @@ func TestCampaignMetricsPopulated(t *testing.T) {
 	}
 	if prof.Jobs() != uint64(m.Points) {
 		t.Fatalf("fleet profile saw %d jobs, want %d", prof.Jobs(), m.Points)
-	}
-}
-
-// TestObservedCampaignArtifacts: the -prom pass produces a linting
-// exposition carrying campaign, harness and fleet families, and the fleet
-// trace is valid JSON.
-func TestObservedCampaignArtifacts(t *testing.T) {
-	prof := fleet.NewProfile()
-	ru, fleetReg := observedCampaign(fleet.Config{Workers: 2}, prof)
-	prof.Metrics(fleetReg)
-	var prom bytes.Buffer
-	ru.WritePrometheus(&prom, fleetReg)
-	if err := obs.LintPrometheus(bytes.NewReader(prom.Bytes())); err != nil {
-		t.Fatalf("campaign exposition does not lint: %v", err)
-	}
-	for _, want := range []string{
-		"campaign_runs_total", "htm_commits_total", "cs_ops_total",
-		"harness_prefill_hits_total", "harness_instance_builds_total",
-		"fleet_jobs_total", "fleet_workers 2",
-	} {
-		if !strings.Contains(prom.String(), want) {
-			t.Errorf("exposition lacks %q", want)
-		}
-	}
-	var trace bytes.Buffer
-	if err := prof.WritePerfetto(&trace); err != nil {
-		t.Fatalf("fleet trace: %v", err)
-	}
-	var events []obs.TraceEvent
-	if err := json.Unmarshal(trace.Bytes(), &events); err != nil {
-		t.Fatalf("fleet trace is not valid JSON: %v", err)
-	}
-	if len(events) == 0 {
-		t.Fatal("fleet trace is empty")
 	}
 }

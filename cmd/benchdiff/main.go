@@ -24,6 +24,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"elision/internal/cli"
 	"elision/internal/obs"
 )
 
@@ -280,15 +281,18 @@ func run(args []string, stdout io.Writer) error {
 		flight: *tolFlight, simDrift: *allowDrift,
 	})
 	if *jsonOut != "" {
-		enc, err := json.MarshalIndent(v, "", "  ")
+		err := cli.Write(*jsonOut, stdout, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(v)
+		})
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*jsonOut, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
 	}
-	writeTable(stdout, v)
+	if *jsonOut != "-" {
+		writeTable(stdout, v)
+	}
 	if !v.OK {
 		return errRegression
 	}

@@ -22,6 +22,15 @@ func TestSteadyRunPasses(t *testing.T) {
 	if !strings.Contains(out.String(), "benchdiff: ok") {
 		t.Errorf("missing ok verdict:\n%s", out.String())
 	}
+	// -json - prints the verdict document in place of the table.
+	out.Reset()
+	if err := run([]string{"-baseline", "testdata/baseline.json", "-current", "testdata/steady.json", "-json", "-"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var v Verdict
+	if err := json.Unmarshal(out.Bytes(), &v); err != nil || !v.OK {
+		t.Errorf("-json - printed %q (%v), want an ok verdict document", out.String(), err)
+	}
 }
 
 // TestRegressionFails: a slowed-down report exits with errRegression and

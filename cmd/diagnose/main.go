@@ -23,6 +23,7 @@ import (
 	"slices"
 	"strings"
 
+	"elision/internal/cli"
 	"elision/internal/core"
 	"elision/internal/fleet"
 	"elision/internal/harness"
@@ -110,32 +111,17 @@ func run(args []string, stdout io.Writer) error {
 		d.WriteText(stdout)
 	}
 	if *jsonOut != "" {
-		out := stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(d); err != nil {
+		err := cli.Write(*jsonOut, stdout, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(d)
+		})
+		if err != nil {
 			return err
 		}
 	}
 	if *promOut != "" {
-		out := stdout
-		if *promOut != "-" {
-			f, err := os.Create(*promOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		ru.WritePrometheus(out)
+		return cli.Write(*promOut, stdout, func(w io.Writer) error { ru.WritePrometheus(w); return nil })
 	}
 	return nil
 }

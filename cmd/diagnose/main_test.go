@@ -193,6 +193,11 @@ func TestDiagnosePromLints(t *testing.T) {
 			t.Errorf("-prom exposition lacks %s:\n%s", want, prom)
 		}
 	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := run([]string{"-quick", "-scheme", "hle", "-lock", "mcs", "-prom", "/dev/full"}, out); err == nil {
+			t.Error("run(-prom /dev/full) succeeded, want the write error")
+		}
+	}
 }
 
 // TestAcceptsEveryFactoryName: every scheme and lock the factory builds is a

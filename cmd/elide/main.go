@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strings"
 
+	"elision/internal/cli"
 	"elision/internal/core"
 	"elision/internal/harness"
 	"elision/internal/htm"
@@ -85,6 +86,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *quantum == 0 {
 		return fmt.Errorf("elide: -quantum must be > 0")
+	}
+	if *hotLines < 0 {
+		return fmt.Errorf("elide: -hot-lines must be >= 0 (got %d)", *hotLines)
 	}
 	if *budget == 0 {
 		return fmt.Errorf("elide: -budget must be > 0")
@@ -182,51 +186,31 @@ func run(args []string, stdout io.Writer) error {
 		rec.WriteText(stdout)
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, stdout, col, *hotLines, annotate); err != nil {
+		err := cli.Write(*metricsOut, stdout, func(w io.Writer) error {
+			if strings.HasSuffix(*metricsOut, ".csv") {
+				col.WriteCSV(w)
+			} else {
+				col.WriteText(w, *hotLines, annotate)
+			}
+			return nil
+		})
+		if err != nil {
 			return fmt.Errorf("elide: %w", err)
 		}
 	}
 	if *traceJSON != "" {
-		if err := writeTrace(*traceJSON, tr, eng); err != nil {
+		err := cli.Write(*traceJSON, stdout, func(w io.Writer) error {
+			causeName := func(arg int64) string { return htm.Cause(arg).String() }
+			if eng != nil {
+				return trace.WriteChromeTraceFlows(w, tr.Events(), causeName, eng.FlowEvents())
+			}
+			return trace.WriteChromeTrace(w, tr.Events(), causeName)
+		})
+		if err != nil {
 			return fmt.Errorf("elide: %w", err)
 		}
 		fmt.Fprintf(stdout, "wrote %d trace events to %s (open in ui.perfetto.dev or chrome://tracing)\n",
 			tr.Len(), *traceJSON)
 	}
 	return nil
-}
-
-// writeMetrics dumps the collector's report to path: "-" selects stdout, a
-// .csv suffix selects the CSV form, anything else the text report.
-func writeMetrics(path string, stdout io.Writer, col *obs.Collector, hotN int, annotate func(line int) string) error {
-	w := stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if strings.HasSuffix(path, ".csv") {
-		col.WriteCSV(w)
-	} else {
-		col.WriteText(w, hotN, annotate)
-	}
-	return nil
-}
-
-// writeTrace exports the tracer's events as Chrome trace-event JSON, with
-// abort-cascade flow arrows appended when the causality engine ran.
-func writeTrace(path string, tr *trace.Tracer, eng *causality.Engine) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	causeName := func(arg int64) string { return htm.Cause(arg).String() }
-	if eng != nil {
-		return trace.WriteChromeTraceFlows(f, tr.Events(), causeName, eng.FlowEvents())
-	}
-	return trace.WriteChromeTrace(f, tr.Events(), causeName)
 }

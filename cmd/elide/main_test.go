@@ -47,6 +47,7 @@ func TestRejectsMalformedInput(t *testing.T) {
 		{[]string{"-threads", "0"}, "-threads"},
 		{[]string{"-threads", "65"}, "-threads"},
 		{[]string{"-threads", "64"}, ""},
+		{[]string{"-hot-lines", "-3"}, "-hot-lines"},
 		{[]string{"-scheme", "nolock"}, "-threads 1"},
 		{[]string{"-scheme", "nolock", "-lock", "mcs", "-threads", "8"}, "-threads 1"},
 		{[]string{"-scheme", "nolock", "-threads", "1"}, ""},
@@ -91,6 +92,12 @@ func TestLemmingRigDigests(t *testing.T) {
 		sum := sha256.Sum256(b)
 		if got := hex.EncodeToString(sum[:])[:16]; got != want {
 			t.Errorf("%s digest = %s, want %s", file, got, want)
+		}
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		args := []string{"-threads", "2", "-budget", "20000", "-metrics", "/dev/full"}
+		if err := run(args, io.Discard); err == nil {
+			t.Error("run(-metrics /dev/full) succeeded, want the write error")
 		}
 	}
 }

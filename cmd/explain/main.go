@@ -24,6 +24,7 @@ import (
 	"slices"
 	"strings"
 
+	"elision/internal/cli"
 	"elision/internal/core"
 	"elision/internal/fleet"
 	"elision/internal/harness"
@@ -176,14 +177,19 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("explain: -b: %w", err)
 	}
 
+	if *side != "a" && *side != "b" {
+		return fmt.Errorf("explain: -side must be a|b (got %q)", *side)
+	}
+	if *chainID == "" && *perfetto != "" {
+		return fmt.Errorf("explain: -perfetto exports the -chain chronicle; add -chain")
+	}
+	if *chainID == "" && *side != "a" {
+		return fmt.Errorf("explain: -side names the side -chain reads; add -chain")
+	}
 	if *chainID != "" {
 		scheme, acfg, spec := schemeA, acfgA, *aSpec
-		switch *side {
-		case "a":
-		case "b":
+		if *side == "b" {
 			scheme, acfg, spec = schemeB, acfgB, *bSpec
-		default:
-			return fmt.Errorf("explain: -side must be a|b (got %q)", *side)
 		}
 		cfg := wl
 		cfg.Scheme, cfg.ACfg = scheme, acfg
@@ -217,20 +223,11 @@ func run(args []string, stdout io.Writer) error {
 		writeTable(stdout, doc)
 	}
 	if *jsonOut != "" {
-		w := stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			return err
-		}
+		return cli.Write(*jsonOut, stdout, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(doc)
+		})
 	}
 	return nil
 }
@@ -359,17 +356,11 @@ func chronicle(stdout io.Writer, cfg harness.DSConfig, spec, id, perfetto string
 	fmt.Fprintf(stdout, "spec %s, seed %d:\n", spec, cfg.Seed)
 	rec.WriteChronicle(stdout, c)
 	if perfetto != "" {
-		f, err := os.Create(perfetto)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(flight.ChromeTraceEvents(c)); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return cli.Write(perfetto, stdout, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", " ")
+			return enc.Encode(flight.ChromeTraceEvents(c))
+		})
 	}
 	return nil
 }

@@ -17,20 +17,26 @@ import (
 // simulation starts.
 func TestRejectsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"unknown scheme a": {"-a", "hlee"},
-		"unknown scheme b": {"-b", "opt-slrr"},
-		"acfg on fixed":    {"-b", "opt-slr:0/2,0/1,5/5,12/8"},
-		"bad acfg":         {"-a", "adaptive-slr:garbage"},
-		"zero seeds":       {"-seeds", "0"},
-		"zero budget":      {"-budget", "0"},
-		"negative j":       {"-j", "-1"},
-		"nolock a":         {"-a", "nolock"},
-		"nolock b":         {"-b", "nolock"},
-		"bad side":         {"-chain", "t0#0", "-side", "c"},
-		"stray argument":   {"stray"},
+		"unknown scheme a":        {"-a", "hlee"},
+		"unknown scheme b":        {"-b", "opt-slrr"},
+		"acfg on fixed":           {"-b", "opt-slr:0/2,0/1,5/5,12/8"},
+		"bad acfg":                {"-a", "adaptive-slr:garbage"},
+		"zero seeds":              {"-seeds", "0"},
+		"zero budget":             {"-budget", "0"},
+		"negative j":              {"-j", "-1"},
+		"nolock a":                {"-a", "nolock"},
+		"nolock b":                {"-b", "nolock"},
+		"bad side":                {"-chain", "t0#0", "-side", "c"},
+		"stray argument":          {"stray"},
+		"bad side, no -chain":     {"-side", "c"},
+		"side b without -chain":   {"-side", "b"},
+		"perfetto without -chain": {"-perfetto", "chain.json"},
 	} {
-		if err := run(args, io.Discard); err == nil {
+		err := run(args, io.Discard)
+		if err == nil {
 			t.Errorf("%s: run(%v) accepted", name, args)
+		} else if strings.HasSuffix(name, "without -chain") && !strings.Contains(err.Error(), "add -chain") {
+			t.Errorf("%s: run(%v) = %v, want it to ask for -chain", name, args, err)
 		}
 	}
 	if err := run([]string{"-shards", "2"}, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"elision/internal/cli"
 	"elision/internal/fleet"
 	"elision/internal/modelcheck"
 	"elision/internal/modelcheck/mutants"
@@ -155,32 +156,23 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *prom != "" {
-		f, err := os.Create(*prom)
+		err := cli.Write(*prom, stdout, func(w io.Writer) error {
+			reg := sum.Registry()
+			if prof.Jobs() > 0 {
+				fleetReg := obs.NewRegistry()
+				prof.Metrics(fleetReg)
+				obs.WritePrometheus(w, reg, fleetReg)
+			} else {
+				reg.WritePrometheus(w)
+			}
+			return nil
+		})
 		if err != nil {
-			return err
-		}
-		reg := sum.Registry()
-		if prof.Jobs() > 0 {
-			fleetReg := obs.NewRegistry()
-			prof.Metrics(fleetReg)
-			obs.WritePrometheus(f, reg, fleetReg)
-		} else {
-			reg.WritePrometheus(f)
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}
 	if *fleetTrace != "" {
-		f, err := os.Create(*fleetTrace)
-		if err != nil {
-			return err
-		}
-		if err := prof.WritePerfetto(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.Write(*fleetTrace, stdout, prof.WritePerfetto); err != nil {
 			return err
 		}
 	}
@@ -246,18 +238,11 @@ func writeSummary(sum modelcheck.Summary, ranCampaign bool, jsonOut string, stdo
 	if jsonOut == "" {
 		return nil
 	}
-	out := stdout
-	if jsonOut != "-" {
-		f, err := os.Create(jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(sum)
+	return cli.Write(jsonOut, stdout, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(sum)
+	})
 }
 
 func writeText(sum modelcheck.Summary, ranCampaign bool, w io.Writer) {

@@ -283,4 +283,10 @@ func TestPromWorkerInvariance(t *testing.T) {
 			t.Errorf("exposition lacks %q:\n%s", want, rawA)
 		}
 	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		args := []string{"-seeds", "1", "-schemes", "hle", "-locks", "ttas", "-prom", "/dev/full"}
+		if err := run(args, &out); err == nil {
+			t.Error("run(-prom /dev/full) succeeded, want the write error")
+		}
+	}
 }

@@ -1,19 +1,19 @@
 // Command reproduce regenerates every table of the paper's evaluation and
 // of the repository's extension experiments in one process (sharing a
-// memoized point cache across tables). Each job writes its tables to
-// stdout and to <name>.txt in the results/ directory, with a CSV twin
-// <name>.csv:
+// memoized point cache across tables). Each job writes its output to
+// stdout and to <name>.txt in the results/ directory; a table job also
+// writes a CSV twin <name>.csv:
 //
 //	go run ./cmd/reproduce                          # full scale (about 25 s at 2 CPUs)
 //	go run ./cmd/reproduce -quick                   # reduced scale (about 2 s)
 //	go run ./cmd/reproduce -quick -only figure2,timeline
+//	go run ./cmd/reproduce -only htmprobe           # the simulated HTM's probes
 //	go run ./cmd/reproduce -j 8                     # pin the fleet to 8 workers
 //
 // -only names jobs by their results/ file stem; a bad name lists them all.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"elision/internal/cli"
 	"elision/internal/core"
 	"elision/internal/fleet"
 	"elision/internal/harness"
@@ -125,6 +126,7 @@ func run(args []string, stdout io.Writer) error {
 			return harness.LemmingTimeline(sc, harness.LockTTAS) + "\n" +
 				harness.LemmingTimeline(sc, harness.LockMCS) + "\n"
 		}},
+		{name: "htmprobe", text: harness.HTMProbes},
 	}
 	if *adaptive != "" {
 		jobs = append(jobs, job{name: "adaptive", gen: func() ([]harness.Table, error) {
@@ -156,26 +158,23 @@ func run(args []string, stdout io.Writer) error {
 		} else if tables, err = j.gen(); err != nil {
 			return err
 		}
-		f, err := os.Create(filepath.Join(*outDir, j.name+".txt"))
-		if err != nil {
+		err = cli.Write(filepath.Join(*outDir, j.name+".txt"), stdout, func(f io.Writer) error {
+			w := io.MultiWriter(stdout, f)
+			_, err := io.WriteString(w, text)
+			for i := range tables {
+				tables[i].Render(w)
+			}
 			return err
-		}
-		w := io.MultiWriter(stdout, f)
-		_, err = io.WriteString(w, text)
-		for i := range tables {
-			tables[i].Render(w)
-		}
-		if err = errors.Join(err, f.Close()); err != nil || j.text != nil {
+		})
+		if err != nil || j.text != nil {
 			return err // a text job has no CSV twin
 		}
-		c, err := os.Create(filepath.Join(*outDir, j.name+".csv"))
-		if err != nil {
-			return err
-		}
-		for i := range tables {
-			tables[i].RenderCSV(c)
-		}
-		return c.Close()
+		return cli.Write(filepath.Join(*outDir, j.name+".csv"), stdout, func(w io.Writer) error {
+			for i := range tables {
+				tables[i].RenderCSV(w)
+			}
+			return nil
+		})
 	}
 	for _, j := range jobs {
 		start := time.Now()
@@ -197,42 +196,22 @@ func run(args []string, stdout io.Writer) error {
 		r.Flight = *flightOn
 		r.RunAllRollup(cfgs, ru)
 		if *rollupOut != "" {
-			w := stdout
-			if *rollupOut != "-" {
-				f, err := os.Create(*rollupOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				w = f
+			if err := cli.Write(*rollupOut, stdout, func(w io.Writer) error { ru.WriteText(w); return nil }); err != nil {
+				return err
 			}
-			ru.WriteText(w)
 		}
 		if *prom != "" {
 			fleetReg := obs.NewRegistry()
 			r.Metrics(fleetReg)
 			prof.Metrics(fleetReg)
-			f, err := os.Create(*prom)
-			if err != nil {
-				return err
-			}
-			ru.WritePrometheus(f, fleetReg)
-			if err := f.Close(); err != nil {
+			if err := cli.Write(*prom, stdout, func(w io.Writer) error { ru.WritePrometheus(w, fleetReg); return nil }); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "   wrote %s\n", *prom)
 		}
 	}
 	if *fleetTrace != "" {
-		f, err := os.Create(*fleetTrace)
-		if err != nil {
-			return err
-		}
-		if err := prof.WritePerfetto(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.Write(*fleetTrace, stdout, prof.WritePerfetto); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "   wrote fleet trace %s\n", *fleetTrace)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"elision/internal/obs"
 )
 
 // TestRejectsBadFleetFlags: a negative -j, or the removed -shards, exits
@@ -52,12 +55,12 @@ func TestOnlyWorkerInvariance(t *testing.T) {
 }
 
 // TestOnlyWritesNamedJobs: -only writes exactly the named jobs' files (the
-// timeline has no CSV twin) and runs them in registry order, whatever the
-// order they are named in.
+// timeline and the HTM probes have no CSV twin) and runs them in registry
+// order, whatever the order they are named in.
 func TestOnlyWritesNamedJobs(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	if err := run([]string{"-quick", "-only", "timeline,figure4", "-out", dir}, &out); err != nil {
+	if err := run([]string{"-quick", "-only", "htmprobe,timeline,figure4", "-out", dir}, &out); err != nil {
 		t.Fatal(err)
 	}
 	files := readDir(t, dir)
@@ -66,11 +69,11 @@ func TestOnlyWritesNamedJobs(t *testing.T) {
 		names = append(names, name)
 	}
 	slices.Sort(names)
-	if want := []string{"figure4.csv", "figure4.txt", "timeline.txt"}; !slices.Equal(names, want) {
+	if want := []string{"figure4.csv", "figure4.txt", "htmprobe.txt", "timeline.txt"}; !slices.Equal(names, want) {
 		t.Fatalf("wrote %v, want %v", names, want)
 	}
-	if want := files["figure4.txt"] + files["timeline.txt"]; out.String() != want {
-		t.Error("stdout is not figure4 then timeline, as written to their files")
+	if want := files["figure4.txt"] + files["timeline.txt"] + files["htmprobe.txt"]; out.String() != want {
+		t.Error("stdout is not figure4, timeline, then htmprobe, as written to their files")
 	}
 }
 
@@ -94,6 +97,53 @@ func TestRejectsBadOnly(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "adaptive.txt")); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestObservedCampaignArtifacts: -prom writes a linting exposition carrying
+// the campaign, harness and fleet families, -fleet-trace writes trace-event
+// JSON, and a write to a full device fails the run.
+func TestObservedCampaignArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	promPath, tracePath := filepath.Join(dir, "campaign.prom"), filepath.Join(dir, "fleet.json")
+	args := []string{"-quick", "-only", "figure4", "-j", "2", "-out", dir, "-prom", promPath, "-fleet-trace", tracePath}
+	if err := run(args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	prom, err := os.ReadFile(promPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.LintPrometheus(bytes.NewReader(prom)); err != nil {
+		t.Fatalf("campaign exposition does not lint: %v", err)
+	}
+	for _, want := range []string{
+		"campaign_runs_total", "htm_commits_total", "cs_ops_total",
+		"harness_prefill_hits_total", "harness_instance_builds_total",
+		"fleet_jobs_total", "fleet_workers 2",
+	} {
+		if !bytes.Contains(prom, []byte(want)) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []obs.TraceEvent
+	if err := json.Unmarshal(trace, &events); err != nil {
+		t.Fatalf("fleet trace is not valid JSON: %v", err)
+	}
+	if len(events) == 0 {
+		t.Fatal("fleet trace is empty")
+	}
+
+	if _, err := os.Stat("/dev/full"); err == nil {
+		for _, flag := range []string{"-rollup", "-prom", "-fleet-trace"} {
+			if err := run([]string{"-quick", "-only", "timeline", "-out", dir, flag, "/dev/full"}, io.Discard); err == nil {
+				t.Errorf("run(%s /dev/full) succeeded, want the write error", flag)
+			}
+		}
 	}
 }
 

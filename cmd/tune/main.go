@@ -15,10 +15,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
 
+	"elision/internal/cli"
 	"elision/internal/core"
 	"elision/internal/fleet"
 	"elision/internal/harness"
@@ -150,33 +152,20 @@ func run(args []string, stdout *os.File) error {
 	}
 
 	if *jsonOut != "" {
-		w := stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return fmt.Errorf("tune: %w", err)
-			}
-			defer f.Close()
-			w = f
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		err := cli.Write(*jsonOut, stdout, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(res)
+		})
+		if err != nil {
 			return fmt.Errorf("tune: %w", err)
 		}
 	}
 	if *promOut != "" {
 		ru := tuner.ObservedRollup(cfg, res)
-		w := stdout
-		if *promOut != "-" {
-			f, err := os.Create(*promOut)
-			if err != nil {
-				return fmt.Errorf("tune: %w", err)
-			}
-			defer f.Close()
-			w = f
+		if err := cli.Write(*promOut, stdout, func(w io.Writer) error { ru.WritePrometheus(w); return nil }); err != nil {
+			return fmt.Errorf("tune: %w", err)
 		}
-		ru.WritePrometheus(w)
 	}
 	return nil
 }

@@ -135,6 +135,13 @@ func TestSmokePromLints(t *testing.T) {
 			t.Errorf("-prom exposition lacks %s", want)
 		}
 	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		args := []string{"-candidates", "1", "-seeds", "1", "-budget", "4000",
+			"-threads", "2", "-size", "16", "-j", "1", "-prom", "/dev/full"}
+		if err := run(args, null); err == nil {
+			t.Error("run(-prom /dev/full) succeeded, want the write error")
+		}
+	}
 }
 
 // TestAcceptsEveryFactoryLock: every lock the factory builds can be tuned

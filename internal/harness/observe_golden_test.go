@@ -51,8 +51,9 @@ func render(t *testing.T, f func(w io.Writer) error) []byte {
 	return buf.Bytes()
 }
 
-// observerDigests renders every observer output of the pinned points and of
-// a size-64 diagnosis panel with its campaign rollup, keyed by artifact.
+// observerDigests renders every observer output of the pinned points, the
+// HTM probes, and a size-64 diagnosis panel with its campaign rollup, keyed
+// by artifact.
 func observerDigests(t *testing.T) ([]string, map[string]string) {
 	var keys []string
 	got := map[string]string{}
@@ -93,6 +94,7 @@ func observerDigests(t *testing.T) ([]string, map[string]string) {
 		}))
 	}
 	put("lemming-timeline/mcs", []byte(LemmingTimeline(sc, LockMCS)))
+	put("htmprobe", []byte(HTMProbes()))
 
 	ru := rollup.New()
 	d := DiagnoseRollup(sc, DefaultDiagnosePanel(), causality.Config{}, fleet.Config{Workers: 2}, ru)
@@ -106,7 +108,7 @@ func observerDigests(t *testing.T) ([]string, map[string]string) {
 // goldenObserverDigests pins every observer output: the collector's text,
 // CSV and Prometheus dumps, the swimlane Perfetto export with causality
 // flows, a chain chronicle and its Perfetto export, the ASCII timelines,
-// and the diagnosis panel's JSON, table and rollup. A failing
+// the HTM probes, and the diagnosis panel's JSON, table and rollup. A failing
 // TestGoldenObserverDigests logs the current map; copy it here only for a
 // deliberate change to an observer's output.
 var goldenObserverDigests = map[string]string{
@@ -139,6 +141,7 @@ var goldenObserverDigests = map[string]string{
 	"lazysub/ttas/chain-perfetto":     "ee8948f48504db25",
 	"lazysub/ttas/timeline":           "6c08e3dc3a0f77c4",
 	"lemming-timeline/mcs":            "e966a071238aed41",
+	"htmprobe":                        "69cc452f68abb9d5",
 	"diagnose/json":                   "b02d3623ffec1b74",
 	"diagnose/text":                   "932b2e47a3e0cdfd",
 	"diagnose/rollup-text":            "52ea38165abe42a9",
