@@ -187,6 +187,15 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("explain: -side names the side -chain reads; add -chain")
 	}
 	if *chainID != "" {
+		var stray string
+		fs.Visit(func(f *flag.Flag) {
+			if stray == "" && (f.Name == "json" || f.Name == "seeds" || f.Name == "j") {
+				stray = f.Name
+			}
+		})
+		if stray != "" {
+			return fmt.Errorf("explain: -%s applies to the comparison, which -chain replaces; drop -%s", stray, stray)
+		}
 		scheme, acfg, spec := schemeA, acfgA, *aSpec
 		if *side == "b" {
 			scheme, acfg, spec = schemeB, acfgB, *bSpec

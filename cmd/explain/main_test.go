@@ -39,6 +39,22 @@ func TestRejectsBadFlags(t *testing.T) {
 			t.Errorf("%s: run(%v) = %v, want it to ask for -chain", name, args, err)
 		}
 	}
+	// -chain prints one chronicle, so the comparison's flags would be
+	// silently ignored; set explicitly, each is refused by name.
+	for _, flagArgs := range [][]string{
+		{"-json", filepath.Join(t.TempDir(), "doc.json")},
+		{"-json", "-"},
+		{"-seeds", "2"},
+		{"-j", "1"},
+	} {
+		args := append([]string{"-chain", "t0#0"}, flagArgs...)
+		err := run(args, io.Discard)
+		if err == nil {
+			t.Errorf("run(%v) accepted", args)
+		} else if !strings.Contains(err.Error(), "drop "+flagArgs[0]) {
+			t.Errorf("run(%v) = %v, want it to name %s", args, err, flagArgs[0])
+		}
+	}
 	if err := run([]string{"-shards", "2"}, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
 		t.Errorf("run(-shards 2) = %v, want unknown-flag error", err)
 	}

@@ -105,6 +105,15 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *repro != "" {
+		var stray string
+		fs.Visit(func(f *flag.Flag) {
+			if stray == "" && f.Name != "repro" && f.Name != "shrink" && f.Name != "hwfix" {
+				stray = f.Name
+			}
+		})
+		if stray != "" {
+			return fmt.Errorf("modelcheck: -%s applies to a campaign, which -repro replaces; drop -%s", stray, stray)
+		}
 		return replay(*repro, *shrink, *hwfix, stdout)
 	}
 	schemeList := splitList(*schemes)

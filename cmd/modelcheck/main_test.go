@@ -82,6 +82,31 @@ func TestFlagValidation(t *testing.T) {
 			t.Errorf("run(%v) should have failed with a usage error, got %v", args, err)
 		}
 	}
+	// A replay runs one case and writes no artifact, so every campaign flag
+	// beside -repro is refused by name; -shrink and -hwfix apply to it.
+	clean := modelcheck.GenCase("hle", "ttas", 3).Repro()
+	for _, flagArgs := range [][]string{
+		{"-json", filepath.Join(t.TempDir(), "summary.json")},
+		{"-prom", filepath.Join(t.TempDir(), "campaign.prom")},
+		{"-fleet-trace", filepath.Join(t.TempDir(), "fleet.json")},
+		{"-seeds", "2"},
+		{"-seed-base", "7"},
+		{"-duration", "1s"},
+		{"-schemes", "hle"},
+		{"-locks", "ttas"},
+		{"-mutants"},
+		{"-quick"},
+		{"-j", "1"},
+	} {
+		args := append([]string{"-repro", clean}, flagArgs...)
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "drop "+flagArgs[0]) {
+			t.Errorf("run(%v) = %v, want it to refuse %s", args, err, flagArgs[0])
+		}
+	}
+	if err := run([]string{"-repro", clean, "-shrink", "-hwfix"}, &out); err != nil {
+		t.Errorf("replay with -shrink -hwfix = %v, want a clean pass", err)
+	}
 	for _, name := range []string{"shards", "workers"} {
 		err := run([]string{"-" + name, "2"}, &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+name) {

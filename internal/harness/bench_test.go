@@ -42,18 +42,23 @@ func BenchmarkFleetCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefillColdFill times the O(Size) insert-replay fill that every
-// point paid before prefill snapshots existed.
+// BenchmarkPrefillColdFill times the cold fill a fill key's first point
+// pays, which every point paid before prefill snapshots existed. 131072
+// keys is spec-read's big tree, whose nodes no longer fit in cache.
 func BenchmarkPrefillColdFill(b *testing.B) {
-	cfg := DSConfig{
-		Structure: StructTree, Threads: 8, Size: 4096, Mix: MixModerate,
-		Scheme: SchemeStandard, Lock: LockTTAS,
-		BudgetCycles: 1, Seed: 42, Quantum: 128,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// No FillCache: every run replays the fill from scratch.
-		NewInstance(nil).Run(cfg)
+	for _, size := range []int{4096, 131072} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			cfg := DSConfig{
+				Structure: StructTree, Threads: 8, Size: size, Mix: MixModerate,
+				Scheme: SchemeStandard, Lock: LockTTAS,
+				BudgetCycles: 1, Seed: 42, Quantum: 128,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// No FillCache: every run fills from scratch.
+				NewInstance(nil).Run(cfg)
+			}
+		})
 	}
 }
 

@@ -38,7 +38,7 @@ type fillImage struct {
 }
 
 // FillCache shares prefill snapshots between pooled instances: the first
-// point of a fill-key pays the O(Size) insert replay and captures the
+// point of a fill-key pays the O(Size) cold fill and captures the
 // image; every later point restores it with a copy. Safe for concurrent
 // use by fleet workers: when several workers want a key nobody has filled
 // yet, the first claims it and fills while the others wait for its image,
@@ -180,12 +180,17 @@ func (in *Instance) fillClaimed(key fillKey, e *fillEntry, cfg DSConfig, ds data
 }
 
 // coldFill inserts random keys from a domain of size 2*Size until the
-// structure holds Size elements.
+// structure holds Size elements. A tree fills through rbtree.Fill, which
+// leaves the image Insert would without descending the tree per key.
 func coldFill(hm *htm.Memory, cfg DSConfig, ds dataStructure, domain uint64) {
 	raw := htm.Raw{M: hm}
+	insert := ds.Insert
+	if t, ok := ds.(*rbtree.Tree); ok {
+		insert = rbtree.NewFill(t, raw, int(domain)).Insert
+	}
 	rng := rand.New(rand.NewSource(int64(cfg.Seed) + 1))
 	for n := 0; n < cfg.Size; {
-		if ds.Insert(raw, rng.Int63n(int64(domain)), 1) {
+		if insert(raw, rng.Int63n(int64(domain)), 1) {
 			n++
 		}
 	}

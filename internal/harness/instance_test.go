@@ -48,7 +48,7 @@ func TestInstanceReuseMatchesFresh(t *testing.T) {
 }
 
 // TestPrefillRestoreMatchesColdFill: a point whose prefill is restored from
-// a snapshot must produce exactly the result of a cold insert-replay fill.
+// a snapshot must produce exactly the result of a cold fill.
 func TestPrefillRestoreMatchesColdFill(t *testing.T) {
 	a, b, _ := instanceTestConfigs()
 	for _, cfg := range []DSConfig{a, b} {

@@ -178,6 +178,15 @@ func (t *Tree) Insert(ac htm.Accessor, key, val int64) bool {
 			return false
 		}
 	}
+	t.attach(ac, p, key, val)
+	return true
+}
+
+// attach allocates a red node for a key absent from the tree, links it
+// under p (nil for an empty tree) on the side its key orders it, and
+// rebalances. It is every insert's tail once the parent is known, whether
+// Insert's descent or a Fill's index found it; it returns the new node.
+func (t *Tree) attach(ac htm.Accessor, p mem.Addr, key, val int64) mem.Addr {
 	z := t.heap.Alloc(ac)
 	set(ac, z, fKey, key)
 	set(ac, z, fVal, val)
@@ -193,7 +202,7 @@ func (t *Tree) Insert(ac htm.Accessor, key, val int64) bool {
 		set(ac, p, fRight, int64(z))
 	}
 	t.insertFixup(ac, z)
-	return true
+	return z
 }
 
 func (t *Tree) insertFixup(ac htm.Accessor, z mem.Addr) {
