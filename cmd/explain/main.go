@@ -183,18 +183,16 @@ func run(args []string, stdout io.Writer) error {
 	if *chainID == "" && *perfetto != "" {
 		return fmt.Errorf("explain: -perfetto exports the -chain chronicle; add -chain")
 	}
-	if *chainID == "" && *side != "a" {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *chainID == "" && set["side"] {
 		return fmt.Errorf("explain: -side names the side -chain reads; add -chain")
 	}
 	if *chainID != "" {
-		var stray string
-		fs.Visit(func(f *flag.Flag) {
-			if stray == "" && (f.Name == "json" || f.Name == "seeds" || f.Name == "j") {
-				stray = f.Name
+		for _, stray := range []string{"j", "json", "seeds"} {
+			if set[stray] {
+				return fmt.Errorf("explain: -%s applies to the comparison, which -chain replaces; drop -%s", stray, stray)
 			}
-		})
-		if stray != "" {
-			return fmt.Errorf("explain: -%s applies to the comparison, which -chain replaces; drop -%s", stray, stray)
 		}
 		scheme, acfg, spec := schemeA, acfgA, *aSpec
 		if *side == "b" {

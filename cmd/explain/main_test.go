@@ -29,6 +29,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		"bad side":                {"-chain", "t0#0", "-side", "c"},
 		"stray argument":          {"stray"},
 		"bad side, no -chain":     {"-side", "c"},
+		"side a without -chain":   {"-side", "a"},
 		"side b without -chain":   {"-side", "b"},
 		"perfetto without -chain": {"-perfetto", "chain.json"},
 	} {

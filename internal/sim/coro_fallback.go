@@ -4,41 +4,37 @@ package sim
 
 import "runtime"
 
-// coro is a coroutine built on a goroutine and two unbuffered channels:
-// resume and suspend hand control across them, so one side always waits
-// while the other runs.
+// coro is a coroutine built on a goroutine and one unbuffered channel,
+// with the semantics of coro.go's: one goroutine is always blocked
+// receiving on ch, and swap's send wakes it before the caller blocks there
+// in its place.
 type coro struct {
-	resumed, suspended chan struct{}
-	// exited is set when f has ended, which only runtime.Goexit does.
+	ch chan struct{}
+	// exited is set when f's goroutine has ended, which only
+	// runtime.Goexit does.
 	exited bool
 }
 
-// start makes f, which never returns, run from the first resume. A
-// runtime.Goexit in f ends the goroutine that resumed it.
+// start makes f, which never returns, run on the goroutine blocked on c
+// from the first swap. When f's goroutine exits by runtime.Goexit, the
+// goroutine then blocked on c exits too.
 func (c *coro) start(f func()) {
-	c.resumed = make(chan struct{})
-	c.suspended = make(chan struct{})
+	c.ch = make(chan struct{})
 	go func() {
 		defer func() {
 			c.exited = true
-			c.suspended <- struct{}{}
+			c.ch <- struct{}{}
 		}()
-		<-c.resumed
+		<-c.ch
 		f()
 	}()
 }
 
-// resume runs the coroutine until it suspends.
-func (c *coro) resume() {
-	c.resumed <- struct{}{}
-	<-c.suspended
+// swap blocks the caller on c and runs the goroutine blocked on c.
+func (c *coro) swap() {
+	c.ch <- struct{}{}
+	<-c.ch
 	if c.exited {
 		runtime.Goexit()
 	}
-}
-
-// suspend returns control to the caller of resume.
-func (c *coro) suspend() {
-	c.suspended <- struct{}{}
-	<-c.resumed
 }

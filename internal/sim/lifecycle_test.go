@@ -2,7 +2,10 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -60,6 +63,16 @@ func giveBodies(m *Machine, e ending) {
 // Run's error. It fails t if Run does not end within a minute.
 func runToEnd(t *testing.T, m *Machine) (raised any, err error) {
 	t.Helper()
+	raised, err, ended := endRun(m)
+	if !ended {
+		t.Fatal("Run hung")
+	}
+	return raised, err
+}
+
+// endRun is runToEnd for any goroutine: it also reports whether Run ended
+// within a minute.
+func endRun(m *Machine) (raised any, err error, ended bool) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -68,10 +81,10 @@ func runToEnd(t *testing.T, m *Machine) (raised any, err error) {
 	}()
 	select {
 	case <-done:
+		return raised, err, true
 	case <-time.After(time.Minute):
-		t.Fatal("Run hung")
+		return nil, nil, false
 	}
-	return raised, err
 }
 
 func checkEnding(t *testing.T, m *Machine, e ending) {
@@ -286,4 +299,74 @@ func TestGoexitInBodyEndsRun(t *testing.T) {
 		}
 	})
 	runToEnd(t, m)
+}
+
+// TestConcurrentRunsRestoreCarriers runs machines on several goroutines at
+// once, all binding carriers from the one free list, and ends each run
+// normally, by deadlock, by a body panic or by a body's Goexit. A run that
+// ends normally must log exactly the steps its scripts log when run alone.
+// Afterwards every idle carrier must hold no proc and no panic value and
+// wait on its own coro; a carrier left on another's coro would let a later
+// body's Goexit wake a goroutine of some other run.
+func TestConcurrentRunsRestoreCarriers(t *testing.T) {
+	const workers, runs = 4, 40
+	type job struct {
+		cfg     Config
+		end     ending
+		scripts [][]scriptOp
+		log     []logEntry
+		err     error
+	}
+	jobs := make([]job, workers*runs)
+	for i := range jobs {
+		seed := uint64(i + 1)
+		j := &jobs[i]
+		j.cfg = Config{Procs: 4, Seed: seed, Quantum: seed % 3 * 16, JitterCycles: seed % 2 * 7}
+		// Every worker meets every ending.
+		j.end = ending((i + i/workers) % 4)
+		if j.end == endNormal {
+			j.scripts = genScripts(seed, j.cfg.Procs)
+			j.log, _, j.err = runScripts(MustNew(j.cfg), j.scripts)
+		}
+	}
+	failures := make(chan string, len(jobs))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(jobs); i += workers {
+				j := &jobs[i]
+				m := MustNew(j.cfg)
+				if j.end == endNormal {
+					if log, _, err := runScripts(m, j.scripts); err != j.err || !slices.Equal(log, j.log) {
+						failures <- fmt.Sprintf("run %d: %d steps and error %v, alone %d steps and error %v", i, len(log), err, len(j.log), j.err)
+					}
+					continue
+				}
+				giveBodies(m, j.end)
+				raised, err, ended := endRun(m)
+				switch {
+				case !ended:
+					failures <- fmt.Sprintf("run %d (ending %d) hung", i, j.end)
+				case j.end == endDeadlock && (err != ErrDeadlock || raised != nil),
+					j.end == endPanic && raised != errBoom,
+					j.end == endGoexit && (err != nil || raised != nil):
+					failures <- fmt.Sprintf("run %d (ending %d): Run returned %v and raised %v", i, j.end, err, raised)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(failures)
+	for f := range failures {
+		t.Error(f)
+	}
+	carriers.Lock()
+	defer carriers.Unlock()
+	for _, c := range carriers.free {
+		if c.p != nil || c.panicked != nil || c.waits != &c.coro {
+			t.Errorf("idle carrier holds proc %v and panic value %v, and waits on its own coro: %v", c.p, c.panicked, c.waits == &c.coro)
+		}
+	}
 }

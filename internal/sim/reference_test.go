@@ -152,33 +152,29 @@ func (q *refProc) effective() (uint64, bool) {
 	return 0, false
 }
 
-// dispatch copies pickNext's choice and quirks: ties go to the lower id,
-// every ready Proc the scan passes loses its pending cause (only the winner
-// reports it), a deadline wake is WakeTimeout and moves the clock to the
-// deadline, and the wake floor and jitter apply only here.
+// dispatch copies the scheduler's choice: ties go to the lower id, only the
+// winner's pending cause is consumed (a ready Proc reports the cause Wake
+// gave it, or WakeStore after a yield, however many picks it lost), a
+// deadline wake is WakeTimeout and moves the clock to the deadline, and the
+// wake floor and jitter apply only here.
 func (r *refMachine) dispatch() (*refProc, WakeCause) {
 	var best *refProc
 	bestT := uint64(math.MaxUint64)
-	var cause WakeCause
 	for _, q := range r.procs {
-		t, ok := q.effective()
-		if !ok {
-			continue
-		}
-		c := WakeTimeout
-		if q.state == stateReady {
-			c = WakeStore
-			if q.pending != 0 {
-				c = q.pending
-			}
-			q.pending = 0
-		}
-		if t < bestT {
-			best, bestT, cause = q, t, c
+		if t, ok := q.effective(); ok && t < bestT {
+			best, bestT = q, t
 		}
 	}
 	if best == nil {
 		return nil, 0
+	}
+	cause := WakeTimeout
+	if best.state == stateReady {
+		cause = WakeStore
+		if best.pending != 0 {
+			cause = best.pending
+		}
+		best.pending = 0
 	}
 	if cause == WakeTimeout {
 		best.clock = max(best.clock, best.deadline)

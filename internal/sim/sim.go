@@ -2,15 +2,16 @@
 // small shared-memory multiprocessor.
 //
 // Each simulated hardware thread (a Proc) runs its body on a carrier, a
-// coroutine that Run resumes and the body suspends, so at most one Proc
-// executes at any moment. Run is a trampoline: it resumes the runnable Proc
-// with the smallest virtual clock until that Proc parks or its body
-// returns, then picks again. Carriers outlive the Run that used them and
-// wait in a free list for the next body, so a warm Run starts no goroutine.
-// Because execution is cooperatively serialized, all simulated machine
-// state (memory words, transaction metadata, statistics) can be plain Go
-// data with no locking, and every run is bit-for-bit reproducible for a
-// given seed regardless of the host's core count.
+// coroutine that outlives the Run that used it, so at most one Proc
+// executes at any moment. There is no scheduler loop: a Proc that parks, or
+// whose body ends, itself dispatches the runnable Proc with the smallest
+// virtual clock and switches straight to that Proc's carrier, and Run's
+// goroutine only starts the first Proc and waits for the run to end.
+// Carriers wait in a free list for the next body, so a warm Run starts no
+// goroutine. Because execution is cooperatively serialized, all simulated
+// machine state (memory words, transaction metadata, statistics) can be
+// plain Go data with no locking, and every run is bit-for-bit reproducible
+// for a given seed regardless of the host's core count.
 //
 // Virtual time is measured in cycles. Procs advance their clock explicitly
 // (Advance), block on events with optional deadlines (Block), and are woken
@@ -66,6 +67,20 @@ const (
 // killSentinel unwinds a parked body during machine teardown.
 type killSentinel struct{}
 
+// notDue is the dispatch key of a Proc that cannot run until another Proc
+// wakes it: running, done, without a body, or blocked with no deadline.
+const notDue = math.MaxUint64
+
+// maxDueTime caps the time in a dispatch key so that the key keeps the id
+// in its low bits and stays below notDue. It is about 2.7 years of
+// simulated time at 3.4 GHz; later times compare as equal.
+const maxDueTime = 1<<58 - 2
+
+// dueKey is the dispatch key of Proc id runnable at effective time t: the
+// time above the id, so the smallest key is the earliest Proc and equal
+// times go to the lower id (MaxProcs fits the id in 6 bits).
+func dueKey(t uint64, id int) uint64 { return min(t, maxDueTime)<<6 | uint64(id) }
+
 // Config parameterizes a Machine.
 type Config struct {
 	// Procs is the number of simulated hardware threads (1..MaxProcs).
@@ -119,13 +134,24 @@ type Machine struct {
 	// machines never touch it and their schedules are unchanged.
 	jrng uint64
 	// otherMin caches the smallest effective time among runnable Procs other
-	// than the running one (MaxUint64 when none). Run recomputes it at every
-	// dispatch, and it can only decrease while a Proc runs (the
-	// single-runner invariant: only the running Proc mutates machine state,
-	// and the only state change that makes another Proc runnable earlier is
-	// Wake). It lets Advance keep running with an O(1) compare instead of an
-	// O(P) scan per memory access.
+	// than the running one (MaxUint64 when none). dispatch recomputes it,
+	// and it can only decrease while a Proc runs (the single-runner
+	// invariant: only the running Proc mutates machine state, and the only
+	// state change that makes another Proc runnable earlier is Wake). It
+	// lets Advance keep running with an O(1) compare instead of an O(P) scan
+	// per memory access.
 	otherMin uint64
+	// due holds each Proc's dispatch key (dueKey, or notDue), kept current
+	// wherever a Proc's state changes, for pickNext to scan.
+	due []uint64
+	// runWaits is the coro Run's goroutine is blocked on while bodies run.
+	runWaits *coro
+	// How the run ended, besides every body returning: err is ErrDeadlock
+	// after a deadlock, raised the first panic that escaped a body, and
+	// dying the carrier whose body called runtime.Goexit.
+	err    error
+	raised any
+	dying  *carrier
 }
 
 // Proc is one simulated hardware thread. All methods must be called from
@@ -136,8 +162,8 @@ type Proc struct {
 	m     *Machine
 	clock uint64
 	state procState
-	// c is the carrier running this Proc's body, from its first dispatch
-	// until the body ends.
+	// c is the carrier bound to this Proc's body, from its first dispatch
+	// until the run ends.
 	c         *carrier
 	deadline  uint64
 	rng       uint64
@@ -158,6 +184,7 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:  cfg,
 		jrng: mixSeed(cfg.Seed, uint64(MaxProcs)+1),
+		due:  make([]uint64, cfg.Procs),
 	}
 	m.procs = make([]*Proc, cfg.Procs)
 	for i := range m.procs {
@@ -224,6 +251,7 @@ func (m *Machine) Reset(cfg Config) error {
 		old := m.procs
 		m.procs = make([]*Proc, cfg.Procs)
 		copy(m.procs, old)
+		m.due = make([]uint64, cfg.Procs)
 	}
 	for i, p := range m.procs {
 		if p == nil {
@@ -283,112 +311,190 @@ func (m *Machine) Go(body func(*Proc)) *Proc {
 // locked to its OS thread: carriers are shared by every Machine in the
 // process, and switching to a coroutine across thread locks is fatal.
 //
-// Run is the scheduler's only choice point: it dispatches the runnable Proc
-// with the smallest virtual clock (a blocked Proc with a deadline is
-// runnable at max(clock, deadline)) and resumes its body until the body
-// parks in Advance or Block or returns, then picks again.
+// Run dispatches the runnable Proc with the smallest virtual clock (a
+// blocked Proc with a deadline is runnable at max(clock, deadline)) and
+// then waits. From there each Proc that parks in Advance or Block, or whose
+// body returns, dispatches the next itself and switches straight to it;
+// the last one, or the one that finds a deadlock or a panic, switches back
+// to Run.
 func (m *Machine) Run() error {
 	m.nLive = 0
-	for _, p := range m.procs {
+	for i, p := range m.procs {
+		m.due[i] = notDue
 		if p.body == nil {
 			p.state = stateDone
 			continue
 		}
 		p.state = stateReady
+		m.due[i] = dueKey(p.clock, i)
 		m.nLive++
 	}
-	var raised any
-	defer func() {
-		// Unwind what a deadlock, a body panic or a body's Goexit left
-		// parked, then re-raise the first panic that escaped a body.
-		if r := m.teardown(); raised == nil {
-			raised = r
-		}
-		if raised != nil {
-			panic(raised)
-		}
-	}()
-	for m.nLive > 0 {
-		p, cause, otherMin := m.pickNext()
-		if p == nil {
-			return ErrDeadlock
-		}
-		if cause == WakeTimeout {
-			if p.deadline > p.clock {
-				p.clock = p.deadline
-			}
-			p.deadline = NoDeadline
-		}
-		if p.wakeFloor > p.clock {
-			p.clock = p.wakeFloor
-		}
-		p.wakeFloor = 0
-		if j := m.cfg.JitterCycles; j > 0 {
-			// Charge the dispatch-latency perturbation before p runs. p may
-			// now trail otherMin; its first Advance then yields, which is
-			// exactly the interleaving shift the jitter exists to cause.
-			p.clock += m.jitterRand() % j
-		}
-		m.otherMin = otherMin
-		p.state = stateRunning
-		p.lastWake = cause
-		if p.c == nil {
-			p.c = getCarrier(p)
-		}
-		p.c.resume()
-		if p.state != stateRunning {
-			continue // parked
-		}
-		p.state = stateDone
-		m.nLive--
-		if raised = p.release(); raised != nil {
-			return nil
-		}
+	defer m.finish()
+	if m.nLive > 0 {
+		handoff(&m.runWaits, m.dispatch().c.waits)
 	}
-	return nil
+	return m.err
 }
 
-// teardown unwinds the bodies still parked when Run stops early, in id
-// order: each is resumed with tearing set, so its park panics with
-// killSentinel, running the body's deferred calls, and its carrier returns
-// to the free list. A Proc that never ran is not started. A body that
-// called runtime.Goexit is the one still running; its carrier has exited
-// and is dropped. teardown reports the first panic a deferred call raised
-// while its body unwound.
-func (m *Machine) teardown() (raised any) {
-	if m.nLive == 0 {
+// dispatch is the scheduler's one choice point. It takes the Proc
+// pickNext chooses, applies the dispatch charges (a deadline wake moves the
+// clock to the deadline, then the wake floor, then jitter), marks it
+// running and binds it a carrier on its first dispatch. The caller then
+// switches to that carrier. It returns nil when no Proc can ever run again.
+func (m *Machine) dispatch() *Proc {
+	p, otherMin := m.pickNext()
+	if p == nil {
 		return nil
+	}
+	cause := WakeTimeout
+	if p.state == stateReady {
+		// Only the winner's pending cause is consumed: a Proc that Wake
+		// readied and that loses this pick still reports its own cause.
+		cause, p.pendingCause = p.pendingCause, 0
+		if cause == 0 {
+			cause = WakeStore
+		}
+	} else {
+		if p.deadline > p.clock {
+			p.clock = p.deadline
+		}
+		p.deadline = NoDeadline
+	}
+	if p.wakeFloor > p.clock {
+		p.clock = p.wakeFloor
+	}
+	p.wakeFloor = 0
+	if j := m.cfg.JitterCycles; j > 0 {
+		// Charge the dispatch-latency perturbation before p runs. p may
+		// now trail otherMin; its first Advance then yields, which is
+		// exactly the interleaving shift the jitter exists to cause.
+		p.clock += m.jitterRand() % j
+	}
+	m.otherMin = otherMin
+	p.state = stateRunning
+	m.due[p.id] = notDue
+	p.lastWake = cause
+	if p.c == nil {
+		p.c = getCarrier(p)
+	}
+	return p
+}
+
+// pickNext chooses the runnable Proc with the smallest effective time,
+// breaking ties by Proc id, and reports the smallest effective time among
+// the other runnable Procs (MaxUint64 when none), which dispatch caches as
+// otherMin. It is one pass of min and second-min over the dispatch keys,
+// with no branch on a Proc's state. It returns nil if nothing can ever run
+// again.
+func (m *Machine) pickNext() (*Proc, uint64) {
+	best, second := uint64(notDue), uint64(notDue)
+	for _, k := range m.due {
+		second = min(second, max(best, k))
+		best = min(best, k)
+	}
+	if best == notDue {
+		return nil, 0
+	}
+	other := second >> 6
+	if second == notDue {
+		other = math.MaxUint64
+	}
+	return m.procs[best%MaxProcs], other
+}
+
+// finish ends a run however it ended. It unwinds the bodies still parked,
+// puts every carrier of the run back on its own coro and into the free
+// list, and then lets a body's runtime.Goexit end Run's goroutine, or
+// re-raises the first panic that escaped a body.
+func (m *Machine) finish() {
+	m.teardown()
+	m.restore()
+	dying, raised := m.dying, m.raised
+	m.err, m.raised, m.dying = nil, nil, nil
+	if dying != nil {
+		// The dying carrier returns from exit once this goroutine blocks
+		// on its coro; its goroutine's end then ends this one too.
+		handoff(&m.runWaits, &dying.coro)
+	}
+	if raised != nil {
+		panic(raised)
+	}
+}
+
+// teardown unwinds the bodies still parked when a run stops early, in id
+// order: each is switched to with tearing set, so its park panics with
+// killSentinel, running the body's deferred calls, and its carrier
+// switches back. A Proc that never ran is not started, and a body that
+// called runtime.Goexit is the one still running; it exits in finish.
+func (m *Machine) teardown() {
+	if m.nLive == 0 {
+		return
 	}
 	m.tearing = true
 	for _, p := range m.procs {
-		if p.c != nil && p.state != stateRunning {
-			p.c.resume()
-			if r := p.release(); raised == nil {
-				raised = r
-			}
+		if p.c != nil && (p.state == stateReady || p.state == stateBlocked) {
+			handoff(&m.runWaits, p.c.waits)
 		}
-		p.c = nil
 		p.state = stateDone
 	}
 	m.nLive = 0
-	return raised
+}
+
+// restore puts every carrier of the run back on its own coro and returns
+// all but a dying one to the free list. A switch leaves the switching
+// goroutine blocked on the coro of the goroutine it woke, so at the end of
+// a run the carriers wait on each other's coros. Switching on the coro of
+// a carrier that is not on its own wakes the carrier waiting there, which
+// settles onto its own coro and so wakes the next, until the carrier whose
+// coro this was settles and wakes Run's goroutine again. A carrier that
+// another machine takes must wait on its own coro: the goroutine its
+// body's Goexit wakes is the one waiting there, which is then always a
+// goroutine of the run that took it.
+func (m *Machine) restore() {
+	for _, p := range m.procs {
+		if c := p.c; c != nil && c.waits != &c.coro {
+			handoff(&m.runWaits, &c.coro)
+		}
+	}
+	carriers.Lock()
+	for _, p := range m.procs {
+		if c := p.c; c != nil && c != m.dying {
+			c.p = nil
+			carriers.free = append(carriers.free, c)
+		}
+		p.c = nil
+	}
+	carriers.Unlock()
+}
+
+// handoff blocks the running goroutine, whose wait record is *self, on the
+// coro to, and runs the goroutine blocked there. It returns when another
+// goroutine switches on the coro the caller then waits on.
+func handoff(self **coro, to *coro) {
+	*self = to
+	to.swap()
 }
 
 // carrier runs Proc bodies, one at a time, on a coroutine that outlives the
-// Run that used it. Between bodies it waits in the carriers free list and
-// references no Proc, body or Machine.
+// Run that used it. Between runs it waits in the carriers free list, on
+// its own coro, and references no Proc, body or Machine.
 type carrier struct {
 	coro
 	p *Proc
 	// panicked is the value of a panic that escaped p's body.
 	panicked any
+	// waits is the coro this carrier's goroutine is blocked on while it
+	// does not run.
+	waits *coro
 }
 
 // carriers is the free list. It is package-level because a suspended
 // coroutine is a goroutine, which the collector never frees: carriers owned
 // by a Machine would leak with it. A sync.Pool would drop entries at a
-// collection with no hook to stop them, leaking the same way. The list
-// holds at most as many carriers as bodies ever ran at once.
+// collection with no hook to stop them, leaking the same way. A run keeps
+// the carriers it bound, one per body it dispatched, until it ends, so the
+// list holds at most as many carriers as the runs in progress at once ever
+// bound.
 var carriers struct {
 	sync.Mutex
 	free []*carrier
@@ -405,31 +511,22 @@ func getCarrier(p *Proc) *carrier {
 	carriers.Unlock()
 	if c == nil {
 		c = new(carrier)
+		c.waits = &c.coro
 		c.start(c.loop)
 	}
 	c.p = p
 	return c
 }
 
-// release unbinds p's carrier after its body ended, returns the carrier to
-// the free list and reports the value of a panic that escaped the body.
-func (p *Proc) release() any {
-	c := p.c
-	p.c, c.p = nil, nil
-	r := c.panicked
-	c.panicked = nil
-	carriers.Lock()
-	carriers.free = append(carriers.free, c)
-	carriers.Unlock()
-	return r
-}
-
-// loop is the carrier's coroutine: run the bound body, hand control back,
-// and run the next body it is resumed with.
+// loop is the carrier's coroutine: run the bound body, hand control on,
+// and once the run is over settle back onto the carrier's own coro, where
+// the next body's dispatch finds it.
 func (c *carrier) loop() {
+	defer c.exit()
 	for {
 		c.call()
-		c.suspend()
+		c.ended()
+		c.settle()
 	}
 }
 
@@ -446,54 +543,49 @@ func (c *carrier) call() {
 	c.p.body(c.p)
 }
 
-// pickNext chooses the runnable Proc with the smallest effective time,
-// breaking ties by Proc id (for determinism). It also reports the smallest
-// effective time among the remaining runnable Procs (MaxUint64 when none),
-// which Run caches as otherMin for the winner's fast path in Advance.
-// Returns nil if nothing can ever run again.
-func (m *Machine) pickNext() (*Proc, WakeCause, uint64) {
-	var (
-		best      *Proc
-		bestTime  uint64 = math.MaxUint64
-		otherTime uint64 = math.MaxUint64
-		bestCause WakeCause
-	)
-	for _, q := range m.procs {
-		var t uint64
-		var c WakeCause
-		switch q.state {
-		case stateReady:
-			t, c = q.clock, q.pendingCauseOrStore()
-		case stateBlocked:
-			if q.deadline == NoDeadline {
-				continue
-			}
-			t = q.deadline
-			if q.clock > t {
-				t = q.clock
-			}
-			c = WakeTimeout
-		default:
-			continue
-		}
-		if t < bestTime {
-			best, bestTime, bestCause, otherTime = q, t, c, bestTime
-		} else if t < otherTime {
-			otherTime = t
+// ended retires the Proc whose body just returned or panicked, and hands
+// control to the next Proc, or to Run's goroutine once the run is over.
+// It returns when the carrier is woken again: by restore, or for the next
+// body.
+func (c *carrier) ended() {
+	p := c.p
+	m := p.m
+	p.state = stateDone
+	m.nLive--
+	c.p = nil
+	if c.panicked != nil && m.raised == nil {
+		m.raised = c.panicked
+	}
+	c.panicked = nil
+	to := m.runWaits
+	if !m.tearing && m.raised == nil && m.nLive > 0 {
+		if q := m.dispatch(); q != nil {
+			to = q.c.waits
+		} else {
+			m.err = ErrDeadlock
 		}
 	}
-	return best, bestCause, otherTime
+	handoff(&c.waits, to)
 }
 
-// pendingCause holds the cause recorded by Wake for a Proc that was blocked
-// and is now ready; ready-by-yield Procs resume with WakeStore (unused).
-func (p *Proc) pendingCauseOrStore() WakeCause {
-	if p.pendingCause != 0 {
-		c := p.pendingCause
-		p.pendingCause = 0
-		return c
+// settle is one step of restore's chain: a carrier woken while it is not
+// on its own coro blocks on it, waking the goroutine that waited there.
+func (c *carrier) settle() {
+	if c.waits != &c.coro {
+		handoff(&c.waits, &c.coro)
 	}
-	return WakeStore
+}
+
+// exit runs when a body calls runtime.Goexit, after the body's deferred
+// calls. It hands control to Run's goroutine, which unwinds the other
+// bodies and restores the carriers (this one settles when its turn comes),
+// and returns once Run's goroutine blocks on this carrier's coro: the
+// Goexit then ends this goroutine, and its coro's end ends Run's.
+func (c *carrier) exit() {
+	m := c.p.m
+	m.dying = c
+	handoff(&c.waits, m.runWaits)
+	c.settle()
 }
 
 // ID returns the Proc's index in [0, Machine.Procs()).
@@ -543,18 +635,28 @@ func (p *Proc) maybeYield() {
 		return
 	}
 	p.state = stateReady
+	p.m.due[p.id] = dueKey(p.clock, p.id)
 	p.park()
 }
 
-// park hands control back to Run until Run dispatches this Proc again.
-// During teardown it unwinds the body instead, and a body already unwinding
-// unwinds again rather than suspending, so no carrier returns to the free
-// list parked inside a deferred call.
+// park dispatches the next Proc and switches to it, and returns when this
+// Proc is dispatched again. When dispatch picks this Proc again it returns
+// at once, and after a deadlock it switches to Run's goroutine. During
+// teardown it unwinds the body instead, and a body already unwinding
+// unwinds again rather than parking, so no carrier is left inside a
+// deferred call.
 func (p *Proc) park() {
-	if !p.m.tearing {
-		p.c.suspend()
+	m := p.m
+	if !m.tearing {
+		q := m.dispatch()
+		if q == nil {
+			m.err = ErrDeadlock
+			handoff(&p.c.waits, m.runWaits)
+		} else if q != p {
+			handoff(&p.c.waits, q.c.waits)
+		}
 	}
-	if p.m.tearing {
+	if m.tearing {
 		panic(killSentinel{})
 	}
 }
@@ -566,6 +668,9 @@ func (p *Proc) park() {
 func (p *Proc) Block(deadline uint64) WakeCause {
 	p.state = stateBlocked
 	p.deadline = deadline
+	if deadline != NoDeadline {
+		p.m.due[p.id] = dueKey(max(p.clock, deadline), p.id)
+	}
 	p.park()
 	return p.lastWake
 }
@@ -581,6 +686,7 @@ func (p *Proc) Wake(target *Proc, cause WakeCause, latency uint64) {
 	target.state = stateReady
 	target.deadline = NoDeadline
 	target.pendingCause = cause
+	p.m.due[target.id] = dueKey(target.clock, target.id)
 	floor := p.clock + latency
 	if floor > target.wakeFloor {
 		target.wakeFloor = floor
@@ -591,8 +697,8 @@ func (p *Proc) Wake(target *Proc, cause WakeCause, latency uint64) {
 	if target.clock < p.m.otherMin {
 		p.m.otherMin = target.clock
 	}
-	// No handoff here: the waker keeps running; Run will dispatch the
-	// woken Proc in virtual-time order.
+	// No handoff here: the waker keeps running; the woken Proc is
+	// dispatched in virtual-time order.
 }
 
 // Rand64 steps the Proc's deterministic xorshift64* generator.
